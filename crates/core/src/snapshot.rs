@@ -68,11 +68,16 @@ impl ChaseSnapshot {
     /// `opts.level_bound` is ignored (the explicit `bound` wins);
     /// `opts.max_conjuncts`, `opts.threads`, `opts.budget` and
     /// `opts.trace` govern the build exactly as they govern
-    /// [`contains_with`]. A build stopped by the budget still returns a
-    /// snapshot — [`is_exhausted`](ChaseSnapshot::is_exhausted) is then
-    /// true and every [`contains`](ChaseSnapshot::contains) reports the
-    /// undecided verdict — so callers can decide whether to keep it
-    /// (resident caches should not).
+    /// [`contains_with`]. `opts.trace` observes the build but is not
+    /// retained: the snapshot holds no reference to the tracer, so a
+    /// snapshot kept resident after its request never keeps that
+    /// request's trace rings alive.
+    ///
+    /// A build stopped by the budget still returns a snapshot —
+    /// [`is_exhausted`](ChaseSnapshot::is_exhausted) is then true and
+    /// every [`contains`](ChaseSnapshot::contains) reports the undecided
+    /// verdict — so callers can decide whether to keep it (resident caches
+    /// should not).
     pub fn build(
         q1: &ConjunctiveQuery,
         bound: u32,
@@ -265,7 +270,11 @@ mod tests {
     }
 
     fn build(q1: &ConjunctiveQuery, bound: u32) -> ChaseSnapshot {
-        ChaseSnapshot::build(q1, bound, &ContainmentOptions::default()).unwrap()
+        build_with(q1, bound, &ContainmentOptions::default())
+    }
+
+    fn build_with(q1: &ConjunctiveQuery, bound: u32, opts: &ContainmentOptions) -> ChaseSnapshot {
+        ChaseSnapshot::build(q1, bound, opts).unwrap()
     }
 
     #[test]
@@ -350,6 +359,29 @@ mod tests {
         assert_eq!(fresh.verdict(), snapped.verdict());
         assert_eq!(fresh.verdict(), Verdict::NotHolds);
         assert!(snapped.decided_by_analysis());
+    }
+
+    #[test]
+    fn snapshot_does_not_retain_the_build_tracer() {
+        use flogic_obs::{TraceHandle, Tracer};
+        use std::sync::Arc;
+
+        let q1 = q("q() :- mandatory(A, T), type(T, A, T), sub(T, U).");
+        let tracer = Tracer::with_default_capacity();
+        let opts = ContainmentOptions {
+            trace: TraceHandle::enabled(&tracer),
+            ..ContainmentOptions::default()
+        };
+        let snap = build_with(&q1, 3, &opts);
+        drop(opts);
+        assert_eq!(
+            Arc::strong_count(&tracer),
+            1,
+            "the snapshot pins the tracer"
+        );
+        // The build was still observed, and the snapshot still answers.
+        assert!(!tracer.snapshot().events.is_empty());
+        assert!(snap.chase_conjuncts() > 3);
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub use hist::{
     bucket_lower_bound, bucket_upper_bound, Histogram, HistogramSnapshot, BUCKET_COUNT,
 };
 pub use profile::{ChaseProfile, LevelGrowth, RoundGrowth};
-pub use ring::{Ring, RECORD_WORDS};
+pub use ring::{Ring, CHUNK_RECORDS, RECORD_WORDS};
 pub use span::{RequestSpan, MAX_STAGES};
 pub use tracer::{SpanGuard, TraceHandle, TraceSnapshot, Tracer, DEFAULT_RING_CAPACITY};
 

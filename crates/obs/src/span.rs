@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Cap on named stages per span; marks beyond it are dropped (the
-/// serving pipeline uses seven).
+/// serving pipeline uses all eight).
 pub const MAX_STAGES: usize = 8;
 
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);

@@ -6,6 +6,13 @@
 //! slot via [`TraceHandle::worker`]. Rings are created lazily under a
 //! mutex (worker counts aren't known up front), but *appending* is
 //! lock-free: an enabled handle caches the `Arc<Ring>` it writes to.
+//! A ring's capacity only bounds it: record storage grows in chunks as
+//! events arrive, so a tracer costs about what it records.
+//!
+//! A tracer belongs to the run that records into it, not to that run's
+//! results: the chase engine reads its handle from the options of each
+//! run and keeps none in the chase it returns, so a chase kept resident
+//! after its request never holds the request's tracer alive.
 //!
 //! [`TraceHandle`] is the type instrumentation sites see. `Disabled` (the
 //! default) makes [`TraceHandle::emit`] a single enum-discriminant branch:
@@ -18,9 +25,13 @@ use std::time::Instant;
 use crate::event::{ChaseEvent, Recorded, SpanKind};
 use crate::ring::Ring;
 
-/// Default per-worker ring capacity in records (1 MiB of payload per
-/// worker at 32 bytes/record — ample for every workload in the bench
-/// suite while still bounding memory on runaway chases).
+/// Default per-worker ring capacity in records: a cap, not an
+/// allocation. Rings allocate storage in chunks of
+/// [`CHUNK_RECORDS`](crate::CHUNK_RECORDS) records as events arrive, so a
+/// run that records a few events holds one 8 KiB chunk, and only a run
+/// that fills the ring reaches the cap's 1 MiB of payload per worker
+/// (32 bytes/record) — ample for every workload in the bench suite while
+/// still bounding memory on runaway chases.
 pub const DEFAULT_RING_CAPACITY: usize = 32_768;
 
 /// The shared event sink: one bounded ring per worker slot.

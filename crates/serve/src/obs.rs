@@ -3,14 +3,18 @@
 //!
 //! Every request carries a [`ReqMeta`] from the moment its bytes parse
 //! to the moment its response bytes reach the socket. The embedded
-//! [`RequestSpan`] times seven named stages — `parse`, `queue`,
-//! `canon`, `cache`, `decide`, `serialize`, `write` — and the metadata
-//! around it records what the request *was*: endpoint, status, verdict,
-//! cache outcome, failure cause, bytes in and out. When the write stage
-//! closes, the reactor hands the finished meta to [`ServerObs::record`],
-//! which feeds the per-stage and per-endpoint [`Histogram`]s behind
-//! `GET /metrics` and `GET /v1/status`, and — when `--access-log` is
-//! set — emits one JSONL line.
+//! [`RequestSpan`] times eight named stages — `parse`, `queue`,
+//! `decode`, `canon`, `cache`, `decide`, `serialize`, `write` — and the
+//! metadata around it records what the request *was*: endpoint, status,
+//! verdict, cache outcome, failure cause, bytes in and out. When the
+//! write stage closes, the reactor hands the finished meta to
+//! [`ServerObs::record`], which feeds the per-stage and per-endpoint
+//! [`Histogram`]s behind `GET /metrics` and `GET /v1/status`, and — when
+//! `--access-log` is set — emits one JSONL line.
+//!
+//! `decode` covers the handler's body decode, `parse_query` of every
+//! query and the per-request tracer setup, so `canon` times
+//! canonicalization alone.
 //!
 //! The hot path stays cheap by construction: histograms are relaxed
 //! atomics, the span is a fixed inline array, and the access-log line
@@ -33,9 +37,10 @@ use crate::server::ServerConfig;
 
 /// The named pipeline stages, in request order. Each gets its own
 /// histogram series under `flqd_stage_duration_nanoseconds`.
-pub const STAGES: [&str; 7] = [
+pub const STAGES: [&str; 8] = [
     "parse",
     "queue",
+    "decode",
     "canon",
     "cache",
     "decide",
@@ -457,6 +462,7 @@ mod tests {
         assert_eq!(stage("decide"), 1);
         assert_eq!(stage("write"), 1);
         assert_eq!(stage("canon"), 0, "unmarked stages stay empty");
+        assert_eq!(stage("decode"), 0, "unmarked stages stay empty");
         let contains = snap
             .endpoints
             .iter()
@@ -465,6 +471,37 @@ mod tests {
         assert_eq!(contains.1.count, 1);
         assert_eq!(snap.responses_2xx, 1);
         assert_eq!(snap.log_lines, 0, "no access log configured");
+    }
+
+    #[test]
+    fn the_full_pipeline_fits_the_span_and_reaches_every_surface() {
+        // A cold decision marks every stage, in STAGES order.
+        let t0 = Instant::now();
+        let mut meta = ReqMeta::begin_at(t0);
+        for (i, stage) in STAGES.iter().enumerate() {
+            meta.span
+                .mark_at(stage, t0 + Duration::from_micros(10 * (i as u64 + 1)));
+        }
+        meta.endpoint = Endpoint::Contains;
+        meta.status = 200;
+        assert_eq!(meta.span.stages().len(), STAGES.len(), "no mark dropped");
+
+        let line = access_line(&meta, meta.span.total_nanos() / 1_000);
+        let value = crate::json::parse(line.trim_end()).expect("line parses back");
+        let stages = value.as_obj().unwrap().get("stages").unwrap();
+        let stages = stages.as_obj().unwrap();
+        for stage in STAGES {
+            let key = format!("{stage}_us");
+            assert_eq!(stages.get(&key).unwrap().as_u64(), Some(10), "{line}");
+        }
+
+        let obs = ServerObs::new(&ServerConfig::default()).unwrap();
+        obs.record(&meta);
+        let snap = obs.snapshot();
+        let names: Vec<&str> = snap.stages.iter().map(|(s, _)| *s).collect();
+        assert_eq!(names, STAGES, "one histogram per stage, in order");
+        assert!(names.contains(&"decode"));
+        assert!(snap.stages.iter().all(|(_, h)| h.count == 1));
     }
 
     #[test]

@@ -406,6 +406,7 @@ fn contains_endpoint(shared: &Arc<Shared>, body: &[u8], meta: &mut ReqMeta) -> R
     let tracer = Tracer::with_default_capacity();
     let mut opts = req.opts.apply(&shared.base_opts);
     opts.trace = TraceHandle::enabled(&tracer);
+    meta.span.mark("decode");
     let out = decide_pair(shared, &q1, &q2, &opts, Some(meta));
     absorb_trace(shared, &tracer);
     match out {
@@ -450,6 +451,7 @@ fn batch_endpoint(shared: &Arc<Shared>, body: &[u8], meta: &mut ReqMeta) -> Resp
     let tracer = Tracer::with_default_capacity();
     let mut opts = req.opts.apply(&shared.base_opts);
     opts.trace = TraceHandle::enabled(&tracer);
+    meta.span.mark("decode");
     // Dedup is sound exactly when the canonical substitution would run
     // for the pair anyway: canonicalization on and no level-bound cap
     // that could undercut the derived Theorem 12 bound (flqd requests
@@ -974,6 +976,36 @@ fn status_json(shared: &Arc<Shared>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn resident_snapshots_do_not_retain_request_tracers() {
+        let server = Server::bind(ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let shared = &server.shared;
+        let q1 = parse_query("q() :- mandatory(A, T), type(T, A, T), sub(T, U).").unwrap();
+        let q2 = parse_query("qq() :- data(T, A, V), member(V, T).").unwrap();
+        let tracer = Tracer::with_default_capacity();
+        let mut opts = shared.base_opts.clone();
+        opts.trace = TraceHandle::enabled(&tracer);
+        let out = decide_pair(shared, &q1, &q2, &opts, None).unwrap();
+        drop(opts);
+        assert!(!out.is_exhausted());
+        let stats = shared.snapshots.stats();
+        assert_eq!(
+            (stats.misses, stats.resident_entries),
+            (1, 1),
+            "the cold decision left its chase resident"
+        );
+        assert_eq!(
+            Arc::strong_count(&tracer),
+            1,
+            "a resident snapshot pins the request's tracer"
+        );
+        assert!(!tracer.snapshot().events.is_empty(), "the build was traced");
+    }
 
     #[test]
     fn config_parses_every_flag_and_rejects_nonsense() {

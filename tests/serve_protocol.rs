@@ -319,6 +319,11 @@ fn prometheus_metrics_have_golden_shape() {
         metrics.contains("flqd_stage_duration_nanoseconds_bucket{stage=\"decide\",le=\"+Inf\"} 1"),
         "{metrics}"
     );
+    // So did the decode stage (body decode, query parse, tracer setup).
+    assert!(
+        metrics.contains("flqd_stage_duration_nanoseconds_bucket{stage=\"decode\",le=\"+Inf\"} 1"),
+        "{metrics}"
+    );
     assert!(
         metrics.contains(
             "flqd_request_duration_nanoseconds_bucket{endpoint=\"contains\",le=\"+Inf\"} 1"
@@ -379,6 +384,16 @@ fn status_endpoint_reports_the_rollup() {
         Some(3),
         "{body}"
     );
+    // Every decided request also closes its decode stage, separately
+    // from canon.
+    for stage in ["decode", "canon"] {
+        let count = stages
+            .get(stage)
+            .and_then(|v| v.as_obj())
+            .and_then(|o| o.get("count"))
+            .and_then(|v| v.as_u64());
+        assert_eq!(count, Some(3), "{stage}: {body}");
+    }
     let cache = root
         .get("cache")
         .and_then(|v| v.as_obj())
@@ -446,7 +461,14 @@ fn access_log_lines_parse_back() {
         assert_eq!(obj.get("status").and_then(|v| v.as_u64()), Some(200));
         assert_eq!(obj.get("verdict").and_then(|v| v.as_str()), Some("holds"));
         let stages = obj.get("stages").and_then(|v| v.as_obj()).unwrap();
-        for stage in ["parse_us", "queue_us", "canon_us", "cache_us", "write_us"] {
+        for stage in [
+            "parse_us",
+            "queue_us",
+            "decode_us",
+            "canon_us",
+            "cache_us",
+            "write_us",
+        ] {
             assert!(
                 stages.contains_key(stage),
                 "line {i} missing {stage}: {line}"
