@@ -38,8 +38,8 @@
 //!   the reactor (see [`obs`]).
 //!
 //! Endpoints: `POST /v1/contains`, `POST /v1/contains_batch`,
-//! `GET /metrics` (Prometheus; `?format=text` for the legacy
-//! `name value` lines), `GET /v1/status`, `GET /profile`. See
+//! `GET /metrics` (Prometheus text exposition of the server and engine
+//! counters), `GET /v1/status`. See
 //! `docs/ARCHITECTURE.md` for the request lifecycle and `docs/CLI.md`
 //! for the `flqd` / `flq serve` flags.
 //!

@@ -12,9 +12,8 @@
 //! [`Histogram`]s behind `GET /metrics` and `GET /v1/status`, and — when
 //! `--access-log` is set — emits one JSONL line.
 //!
-//! `decode` covers the handler's body decode, `parse_query` of every
-//! query and the per-request tracer setup, so `canon` times
-//! canonicalization alone.
+//! `decode` covers the handler's body decode and `parse_query` of every
+//! query, so `canon` times canonicalization alone.
 //!
 //! The hot path stays cheap by construction: histograms are relaxed
 //! atomics, the span is a fixed inline array, and the access-log line
@@ -68,19 +67,17 @@ pub enum Endpoint {
     Metrics,
     /// `GET /v1/status`.
     Status,
-    /// `GET /profile`.
-    Profile,
     /// Anything else: unknown paths, refused parses, early rejections.
     Other,
 }
 
-/// Every endpoint, in the order their histograms are indexed.
-pub const ENDPOINTS: [Endpoint; 6] = [
+/// Every endpoint in declaration order, the order the per-endpoint
+/// histograms are indexed in.
+pub const ENDPOINTS: [Endpoint; 5] = [
     Endpoint::Contains,
     Endpoint::Batch,
     Endpoint::Metrics,
     Endpoint::Status,
-    Endpoint::Profile,
     Endpoint::Other,
 ];
 
@@ -92,20 +89,12 @@ impl Endpoint {
             Endpoint::Batch => "batch",
             Endpoint::Metrics => "metrics",
             Endpoint::Status => "status",
-            Endpoint::Profile => "profile",
             Endpoint::Other => "other",
         }
     }
 
     fn index(self) -> usize {
-        match self {
-            Endpoint::Contains => 0,
-            Endpoint::Batch => 1,
-            Endpoint::Metrics => 2,
-            Endpoint::Status => 3,
-            Endpoint::Profile => 4,
-            Endpoint::Other => 5,
-        }
+        self as usize
     }
 }
 

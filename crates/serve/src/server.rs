@@ -36,8 +36,6 @@ use flogic_core::{
     CoreError, QueryKey, Verdict,
 };
 use flogic_model::ConjunctiveQuery;
-use flogic_obs::export::profile_json;
-use flogic_obs::{ChaseProfile, TraceHandle, Tracer};
 use flogic_store::DurableDecisionCache;
 use flogic_syntax::parse_query;
 use flogic_term::Metrics;
@@ -228,7 +226,6 @@ pub(crate) struct Shared {
     base_opts: ContainmentOptions,
     decisions: DurableDecisionCache,
     snapshots: SnapshotCache,
-    profile: Mutex<ChaseProfile>,
     /// The bounded dispatch queue feeding the worker pool.
     pub(crate) jobs: Mutex<VecDeque<Job>>,
     pub(crate) jobs_cv: Condvar,
@@ -295,7 +292,6 @@ impl Server {
                 snapshots,
                 obs,
                 decisions,
-                profile: Mutex::new(ChaseProfile::default()),
                 jobs: Mutex::new(VecDeque::new()),
                 jobs_cv: Condvar::new(),
                 completions: Mutex::new(Vec::new()),
@@ -340,13 +336,13 @@ impl Server {
 
 /// Dispatches one request to its endpoint. Called from worker threads.
 /// Fills `meta.endpoint` so per-endpoint histograms and the access log
-/// name what actually ran; the query string (split off before matching)
-/// selects presentation variants like `/metrics?format=text`.
+/// name what actually ran. A query string is split off before matching
+/// and ignored.
 pub(crate) fn route(shared: &Arc<Shared>, req: &Request, meta: &mut ReqMeta) -> Response {
-    let (path, query) = match req.path.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (req.path.as_str(), ""),
-    };
+    let path = req
+        .path
+        .split_once('?')
+        .map_or(req.path.as_str(), |(p, _)| p);
     match (req.method.as_str(), path) {
         ("POST", "/v1/contains") => {
             meta.endpoint = Endpoint::Contains;
@@ -358,26 +354,13 @@ pub(crate) fn route(shared: &Arc<Shared>, req: &Request, meta: &mut ReqMeta) -> 
         }
         ("GET", "/metrics") => {
             meta.endpoint = Endpoint::Metrics;
-            if query == "format=text" {
-                Response::text(200, metrics_text(shared))
-            } else {
-                Response::with_content_type(
-                    200,
-                    PROMETHEUS_CONTENT_TYPE,
-                    metrics_prometheus(shared),
-                )
-            }
+            Response::with_content_type(200, PROMETHEUS_CONTENT_TYPE, metrics_prometheus(shared))
         }
         ("GET", "/v1/status") => {
             meta.endpoint = Endpoint::Status;
             Response::json(200, status_json(shared))
         }
-        ("GET", "/profile") => {
-            meta.endpoint = Endpoint::Profile;
-            let profile = shared.profile.lock().expect("profile poisoned");
-            Response::json(200, profile_json(&profile))
-        }
-        (_, "/v1/contains" | "/v1/contains_batch" | "/v1/status" | "/metrics" | "/profile") => {
+        (_, "/v1/contains" | "/v1/contains_batch" | "/v1/status" | "/metrics") => {
             ApiError::method_not_allowed(&req.method, path).to_response()
         }
         _ => ApiError::not_found(path).to_response(),
@@ -403,13 +386,9 @@ fn contains_endpoint(shared: &Arc<Shared>, body: &[u8], meta: &mut ReqMeta) -> R
         (Ok(q1), Ok(q2)) => (q1, q2),
         (Err(e), _) | (_, Err(e)) => return e.to_response(),
     };
-    let tracer = Tracer::with_default_capacity();
-    let mut opts = req.opts.apply(&shared.base_opts);
-    opts.trace = TraceHandle::enabled(&tracer);
+    let opts = req.opts.apply(&shared.base_opts);
     meta.span.mark("decode");
-    let out = decide_pair(shared, &q1, &q2, &opts, Some(meta));
-    absorb_trace(shared, &tracer);
-    match out {
+    match decide_pair(shared, &q1, &q2, &opts, Some(meta)) {
         Ok(result) => {
             meta.verdict = Some(verdict_name(&result));
             Response::json(200, api::verdict_json(&result))
@@ -448,9 +427,7 @@ fn batch_endpoint(shared: &Arc<Shared>, body: &[u8], meta: &mut ReqMeta) -> Resp
         };
         parsed.push((q1, q2));
     }
-    let tracer = Tracer::with_default_capacity();
-    let mut opts = req.opts.apply(&shared.base_opts);
-    opts.trace = TraceHandle::enabled(&tracer);
+    let opts = req.opts.apply(&shared.base_opts);
     meta.span.mark("decode");
     // Dedup is sound exactly when the canonical substitution would run
     // for the pair anyway: canonicalization on and no level-bound cap
@@ -493,14 +470,10 @@ fn batch_endpoint(shared: &Arc<Shared>, body: &[u8], meta: &mut ReqMeta) -> Resp
         };
         match out {
             Ok(result) => results.push(result),
-            Err(e) => {
-                absorb_trace(shared, &tracer);
-                return api::core_error(&e).to_response();
-            }
+            Err(e) => return api::core_error(&e).to_response(),
         }
     }
     meta.span.mark("decide");
-    absorb_trace(shared, &tracer);
     Response::json(200, api::batch_json(&results))
 }
 
@@ -591,75 +564,6 @@ fn decide_canonical(
 
 fn parse_wire_query(text: &str) -> Result<ConjunctiveQuery, ApiError> {
     parse_query(text).map_err(|e| ApiError::parse_error(e.to_string()))
-}
-
-/// Folds a request's trace into the server-lifetime profile served by
-/// `GET /profile`.
-fn absorb_trace(shared: &Arc<Shared>, tracer: &Arc<Tracer>) {
-    let request_profile = ChaseProfile::from_snapshot(&tracer.snapshot());
-    let mut profile = shared.profile.lock().expect("profile poisoned");
-    profile.absorb(&request_profile);
-}
-
-/// The `GET /metrics` body: the process-wide engine counters
-/// ([`Metrics::render_text`]) plus the server's own gauges, same
-/// `name value` line format.
-fn metrics_text(shared: &Arc<Shared>) -> String {
-    use std::fmt::Write as _;
-    let mut s = Metrics::global().snapshot().render_text();
-    let stats = shared.snapshots.stats();
-    let _ = writeln!(
-        s,
-        "flqd_requests_total {}",
-        shared.requests_total.load(Ordering::Relaxed)
-    );
-    let _ = writeln!(
-        s,
-        "flqd_rejected_total {}",
-        shared.rejected_total.load(Ordering::Relaxed)
-    );
-    let _ = writeln!(
-        s,
-        "flqd_connections_total {}",
-        shared.connections_total.load(Ordering::Relaxed)
-    );
-    let _ = writeln!(s, "flqd_snapshot_hits {}", stats.hits);
-    let _ = writeln!(s, "flqd_snapshot_misses {}", stats.misses);
-    let _ = writeln!(s, "flqd_snapshot_evictions {}", stats.evictions);
-    let _ = writeln!(s, "flqd_snapshot_uncacheable {}", stats.uncacheable);
-    let _ = writeln!(s, "flqd_snapshot_resident_bytes {}", stats.resident_bytes);
-    let _ = writeln!(
-        s,
-        "flqd_snapshot_resident_entries {}",
-        stats.resident_entries
-    );
-    let _ = writeln!(
-        s,
-        "flqd_snapshot_cap_bytes {}",
-        shared.snapshots.cap_bytes()
-    );
-    let _ = writeln!(s, "flqd_decision_cache_entries {}", shared.decisions.len());
-    if let Some(store) = shared.decisions.store() {
-        let durable = shared.decisions.durable_stats();
-        let store_stats = store.stats();
-        let _ = writeln!(s, "flqd_store_disk_hits {}", durable.disk_hits);
-        let _ = writeln!(s, "flqd_store_disk_misses {}", durable.disk_misses);
-        let _ = writeln!(s, "flqd_store_disk_errors {}", durable.disk_errors);
-        let _ = writeln!(s, "flqd_store_segments {}", store_stats.segments);
-        let _ = writeln!(
-            s,
-            "flqd_store_segment_entries {}",
-            store_stats.segment_entries
-        );
-        let _ = writeln!(
-            s,
-            "flqd_store_memtable_entries {}",
-            store_stats.memtable_entries
-        );
-        let _ = writeln!(s, "flqd_store_wal_bytes {}", store_stats.wal_bytes);
-        let _ = writeln!(s, "flqd_store_generation {}", store_stats.generation);
-    }
-    s
 }
 
 /// The default `GET /metrics` body: Prometheus text exposition
@@ -788,27 +692,34 @@ fn metrics_prometheus(shared: &Arc<Shared>) -> String {
         "counter",
         snap.batch_dedup_hits,
     );
-    // Process-global canonicalization counters, mirrored from the legacy
-    // text exposition so `--no-canon` vs canon-on is scrapeable.
-    let global = Metrics::global().snapshot();
-    simple(
-        &mut s,
-        "flqd_canon_keys_total",
-        "counter",
-        global.canon_keys,
-    );
-    simple(
-        &mut s,
-        "flqd_canon_reduced_total",
-        "counter",
-        global.canon_reduced,
-    );
-    simple(
-        &mut s,
-        "flqd_canon_nanoseconds_total",
-        "counter",
-        global.canon_nanos,
-    );
+    // The process-global engine counters: chase, hom search, analysis
+    // fast paths, governor stops and canonicalization. `Metrics`' own
+    // cache counters are left out; they count the same events as
+    // `flqd_decision_cache_{hits,misses}_total`.
+    let g = Metrics::global().snapshot();
+    for (name, value) in [
+        ("flqd_chase_runs_total", g.chase_runs),
+        ("flqd_chase_nanoseconds_total", g.chase_nanos),
+        ("flqd_hom_searches_total", g.hom_searches),
+        ("flqd_hom_nanoseconds_total", g.hom_nanos),
+        ("flqd_analysis_early_false_total", g.analysis_early_false),
+        ("flqd_analysis_early_true_total", g.analysis_early_true),
+        ("flqd_analysis_chased_total", g.analysis_chased),
+        (
+            "flqd_governor_deadline_hits_total",
+            g.governor_deadline_hits,
+        ),
+        ("flqd_governor_budget_hits_total", g.governor_budget_hits),
+        (
+            "flqd_governor_cancellations_total",
+            g.governor_cancellations,
+        ),
+        ("flqd_canon_keys_total", g.canon_keys),
+        ("flqd_canon_reduced_total", g.canon_reduced),
+        ("flqd_canon_nanoseconds_total", g.canon_nanos),
+    ] {
+        simple(&mut s, name, "counter", value);
+    }
     // The durable decision tier, present only when `--data-dir` is set
     // (no sampleless families for a tier that does not exist).
     if let Some(store) = shared.decisions.store() {
@@ -976,6 +887,7 @@ fn status_json(shared: &Arc<Shared>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flogic_obs::{TraceHandle, Tracer};
 
     #[test]
     fn resident_snapshots_do_not_retain_request_tracers() {

@@ -131,8 +131,8 @@ fn contains_and_batch_answer_real_verdicts() {
     assert_eq!(status, 200);
     assert!(body.contains("\"verdict\":\"holds\""), "{body}");
 
-    // Metrics and profile report the work. The default /metrics body is
-    // Prometheus exposition; ?format=text keeps the legacy flat lines.
+    // Metrics report the work as Prometheus exposition, engine counters
+    // included.
     let (status, metrics) = exchange(addr, "GET", "/metrics", "");
     assert_eq!(status, 200);
     assert!(
@@ -147,14 +147,28 @@ fn contains_and_batch_answer_real_verdicts() {
         metrics.contains("flqd_stage_duration_nanoseconds_bucket{stage=\"decide\",le=\"+Inf\"}"),
         "{metrics}"
     );
-    let (status, metrics) = exchange(addr, "GET", "/metrics?format=text", "");
+    let chase_runs = metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("flqd_chase_runs_total "))
+        .and_then(|v| v.parse::<u64>().ok());
+    assert!(chase_runs.is_some_and(|n| n > 0), "{metrics}");
+    assert!(
+        metrics.contains("\nflqd_snapshot_cache_hits_total "),
+        "{metrics}"
+    );
+    // A query string selects nothing: `?format=text` gets the same
+    // Prometheus families.
+    let families = |body: &str| -> Vec<String> {
+        body.lines()
+            .filter(|l| l.starts_with("# TYPE "))
+            .map(str::to_string)
+            .collect()
+    };
+    let (status, text) = exchange(addr, "GET", "/metrics?format=text", "");
     assert_eq!(status, 200);
-    assert!(metrics.contains("flq_chase_runs "), "{metrics}");
-    assert!(metrics.contains("flqd_requests_total "), "{metrics}");
-    assert!(metrics.contains("flqd_snapshot_hits "), "{metrics}");
-    let (status, profile) = exchange(addr, "GET", "/profile", "");
-    assert_eq!(status, 200);
-    assert!(profile.contains("\"rule_firings\":["), "{profile}");
+    assert_eq!(families(&text), families(&metrics), "{text}");
+    let (status, _) = exchange(addr, "GET", "/profile", "");
+    assert_eq!(status, 404, "the chase-profile endpoint is gone");
 
     handle.shutdown();
     join.join().expect("join").expect("clean drain");

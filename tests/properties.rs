@@ -235,3 +235,190 @@ fn flogic_rendering_is_equivalent() {
         );
     }
 }
+
+// ---------------------------------------------------------------------------
+// Never-panic loops for the byte decoders that face untrusted input: the
+// HTTP request parser, the JSON request bodies, and the persisted-decision
+// codec. Each loop mutates valid seed inputs and requires every call to
+// return; the persist loop also requires a decoded value to round-trip.
+// ---------------------------------------------------------------------------
+
+const DECODER_CASES: u64 = 20_000;
+
+/// Byte strings spliced into mutated inputs: framing and syntax tokens the
+/// decoders branch on, plus oversized numbers and broken escapes.
+const TOKENS: &[&[u8]] = &[
+    b"\r\n",
+    b"\r\n\r\n",
+    b": ",
+    b"content-length: ",
+    b"18446744073709551616",
+    b"-1",
+    b"connection: close",
+    b"transfer-encoding: chunked",
+    b"{",
+    b"}",
+    b"[",
+    b"]",
+    b"\"",
+    b"\\",
+    b"\\u",
+    b"\\ud800",
+    b"\\uDFFF",
+    b",",
+    b":",
+    b"null",
+    b"1e999",
+    b"\xff\xfe",
+    b"\xe2\x82",
+    b"\0",
+];
+
+/// Applies one to four random edits to `seed`: byte flips, insertions,
+/// deletions, truncation, token splices and slice duplication.
+fn mutate(seed: &[u8], r: &mut SplitMix64) -> Vec<u8> {
+    let mut out = seed.to_vec();
+    for _ in 0..r.random_range(1..5) {
+        let at = r.random_range(0..out.len() + 1);
+        match r.random_range(0..6) {
+            0 if at < out.len() => out[at] ^= 1 << r.random_range(0..8),
+            1 => out.insert(at, r.next_u64() as u8),
+            2 if at < out.len() => {
+                out.remove(at);
+            }
+            3 => out.truncate(at),
+            4 => {
+                let token = TOKENS[r.random_range(0..TOKENS.len())];
+                out.splice(at..at, token.iter().copied());
+            }
+            _ => {
+                let end = r.random_range(at..out.len() + 1);
+                let copy = out[at..end].to_vec();
+                out.splice(end..end, copy);
+            }
+        }
+    }
+    out
+}
+
+/// `parse_request` never panics, and a complete parse consumes a
+/// non-empty prefix of the buffer.
+#[test]
+fn http_request_parser_never_panics() {
+    use flogic_lite::serve::http::{parse_request, Parse};
+    let body = br#"{"q1":"q(X) :- sub(X, Y).","q2":"p(X) :- sub(X, Z)."}"#;
+    let post = [
+        b"POST /v1/contains HTTP/1.1\r\nhost: t\r\ncontent-length: ".as_slice(),
+        body.len().to_string().as_bytes(),
+        b"\r\n\r\n",
+        body,
+    ]
+    .concat();
+    let seeds: [&[u8]; 4] = [
+        b"GET /metrics HTTP/1.1\r\nhost: t\r\n\r\n",
+        b"GET /v1/status HTTP/1.0\r\nconnection: keep-alive\r\n\r\n",
+        &post,
+        b"GET /metrics HTTP/1.1\r\n\r\nPOST /v1/contains HTTP/1.1\r\ncontent-length: 2\r\n\r\nhi",
+    ];
+    let mut r = SplitMix64::seed_from_u64(0x4854_5450);
+    for case in 0..DECODER_CASES {
+        let input = mutate(seeds[r.random_range(0..seeds.len())], &mut r);
+        if let Parse::Complete { consumed, .. } = parse_request(&input, 1 << 10) {
+            assert!(
+                consumed > 0 && consumed <= input.len(),
+                "case {case}: consumed {consumed} of {input:?}"
+            );
+        }
+    }
+}
+
+/// `parse_contains` / `parse_batch` (and the JSON parser under them)
+/// never panic on mutated request bodies.
+#[test]
+fn json_request_bodies_never_panic() {
+    use flogic_lite::serve::api::{parse_batch, parse_contains};
+    let seeds: [&[u8]; 4] = [
+        br#"{"q1":"q(X, Z) :- sub(X, Y), sub(Y, Z).","q2":"p(X, Z) :- sub(X, Z)."}"#,
+        br#"{"q1":"q() :- member(a, b).","q2":"p() :- sub(a, b).","timeout_ms":50,"max_conjuncts":1000,"analysis":false}"#,
+        br#"{"pairs":[["q(X) :- sub(X, Y).","p(X) :- sub(X, Z)."],["q() :- member(a, b).","p() :- member(a, b)."]]}"#,
+        br#"{"pairs":[],"timeout_ms":0,"analysis":true}"#,
+    ];
+    let mut r = SplitMix64::seed_from_u64(0x4A53_4F4E);
+    for _ in 0..DECODER_CASES {
+        let input = mutate(seeds[r.random_range(0..seeds.len())], &mut r);
+        let _ = parse_contains(&input);
+        let _ = parse_batch(&input);
+    }
+}
+
+/// `decode_decision` never panics; whatever it accepts re-encodes to
+/// bytes that decode to the same decision, so a corrupt entry can only
+/// read as a miss or as a value the encoder itself would write.
+#[test]
+fn persisted_decisions_never_panic_and_round_trip() {
+    use flogic_lite::chase::ChaseOutcome;
+    use flogic_lite::core::{
+        contains_with, decode_decision, encode_decision, ContainmentOptions, ContainmentResult,
+    };
+    let fields = |d: &ContainmentResult| {
+        (
+            d.verdict(),
+            d.is_vacuous(),
+            d.witness().is_none(),
+            d.chase_conjuncts(),
+            d.chase_outcome(),
+            d.level_bound(),
+            d.max_chase_level(),
+            d.decided_by_analysis(),
+        )
+    };
+    let no_analysis = ContainmentOptions {
+        analysis: false,
+        ..ContainmentOptions::default()
+    };
+    let seeds: Vec<Vec<u8>> = [
+        ("q(X, Z) :- sub(X, Y), sub(Y, Z).", "p(X, Z) :- sub(X, Z)."),
+        ("p(X, Z) :- sub(X, Z).", "q(X, Z) :- sub(X, Y), sub(Y, Z)."),
+        (
+            "q() :- data(o, a, 1), data(o, a, 2), funct(a, o).",
+            "p() :- sub(X, Y).",
+        ),
+        (
+            "q() :- mandatory(A, T), type(T, A, T), sub(T, U).",
+            "qq() :- data(T, A, V), member(V, T).",
+        ),
+    ]
+    .iter()
+    .map(|(q1, q2)| {
+        let r = contains_with(
+            &parse_query(q1).unwrap(),
+            &parse_query(q2).unwrap(),
+            &no_analysis,
+        )
+        .unwrap();
+        encode_decision(&r).expect("decided results encode")
+    })
+    .collect();
+    assert!(
+        seeds.iter().any(|s| matches!(
+            decode_decision(s).map(|d| d.chase_outcome()),
+            Some(ChaseOutcome::Failed { .. })
+        )),
+        "the seeds cover the clash-term encoding"
+    );
+    let mut r = SplitMix64::seed_from_u64(0x5045_5253);
+    let mut accepted = 0u64;
+    for case in 0..DECODER_CASES {
+        let input = mutate(&seeds[r.random_range(0..seeds.len())], &mut r);
+        let Some(decoded) = decode_decision(&input) else {
+            continue;
+        };
+        accepted += 1;
+        let bytes = encode_decision(&decoded)
+            .unwrap_or_else(|| panic!("case {case}: decoded {input:?} does not re-encode"));
+        let again = decode_decision(&bytes)
+            .unwrap_or_else(|| panic!("case {case}: re-encoding of {input:?} does not decode"));
+        assert_eq!(fields(&again), fields(&decoded), "case {case}: {input:?}");
+    }
+    assert!(accepted > 0, "some mutations stay decodable");
+}

@@ -220,10 +220,10 @@ fn one_connection_serves_many_requests() {
         let (status, _headers, body) = read_response(&mut reader);
         assert_eq!(status, 200, "request {i}: {body}");
     }
-    // The legacy flat metrics (read over the same connection — request
+    // The Prometheus metrics (read over the same connection — request
     // n+1) agree this was a single connection carrying all traffic.
     writer
-        .write_all(b"GET /metrics?format=text HTTP/1.1\r\nhost: t\r\n\r\n")
+        .write_all(b"GET /metrics HTTP/1.1\r\nhost: t\r\n\r\n")
         .unwrap();
     let (status, _headers, metrics) = read_response(&mut reader);
     assert_eq!(status, 200);
