@@ -1645,7 +1645,7 @@ fn freshen(q2: &ConjunctiveQuery, k: usize) -> ConjunctiveQuery {
 }
 
 /// E14: what semantic (canonicalized) cache keys buy on variant-heavy
-/// traffic — the workload the raw structural keys get ~0% on.
+/// traffic — the workload the raw (as-written) keys get ~0% on.
 ///
 /// `distinct` base pairs (the E4 workload shape) are warmed on two
 /// in-process `flqd` servers, one default (canon on) and one
@@ -1686,21 +1686,21 @@ pub fn e14(distinct: usize, variants: usize) -> ExperimentOutput {
         .collect();
     let text = flogic_syntax::query_to_flogic;
     let base_texts: Vec<(String, String)> = base.iter().map(|(a, b)| (text(a), text(b))).collect();
-    // The *structural* key already folds renaming and permutation, so
-    // two independently seeded mutants of the same q1 can coincide by
-    // chance and hand the raw-key server an accidental snapshot hit.
-    // That folding is fine — it is the seed behavior — but this
-    // experiment isolates the *semantic* folding on top of it, so the
-    // q1 mutants are drawn to be pairwise structurally distinct.
+    // The as-written key (what a `--no-canon` server keys by) already
+    // folds renaming, so two independently seeded mutants of the same q1
+    // can coincide by chance and hand the raw-key server an accidental
+    // snapshot hit. That folding is fine, but this experiment isolates
+    // the *semantic* folding on top of it, so the q1 mutants are drawn
+    // to be pairwise distinct as written.
     let mut seen: std::collections::HashSet<flogic_core::QueryKey> = base
         .iter()
-        .map(|(q1, _)| flogic_core::QueryKey::structural(q1))
+        .map(|(q1, _)| flogic_core::QueryKey::as_written(q1))
         .collect();
     let mut distinct_mutant = |q: &ConjunctiveQuery, seed: u64| -> ConjunctiveQuery {
         let mut s = seed;
         loop {
             let m = mutate_variant(q, &mut rng(s));
-            if seen.insert(flogic_core::QueryKey::structural(&m)) {
+            if seen.insert(flogic_core::QueryKey::as_written(&m)) {
                 return m;
             }
             s = s.wrapping_add(1_000_000_000);
@@ -1739,7 +1739,8 @@ pub fn e14(distinct: usize, variants: usize) -> ExperimentOutput {
         )
     };
     // One counter line of the GET /metrics body (keys carry a trailing
-    // space so e.g. `flqd_snapshot_hits` never matches a longer name).
+    // space so a name never matches a longer one). A missing series is
+    // an error, not a zero: a renamed family must not pass as 0% hits.
     let scrape = |addr: &str, key: &str| -> u64 {
         let (status, body) = wire::get(addr, "/metrics").expect("metrics");
         assert_eq!(status, 200, "{body}");
@@ -1748,7 +1749,7 @@ pub fn e14(distinct: usize, variants: usize) -> ExperimentOutput {
                 l.strip_prefix(key)
                     .and_then(|rest| rest.trim().parse().ok())
             })
-            .unwrap_or(0)
+            .unwrap_or_else(|| panic!("no `{key}` series in GET /metrics"))
     };
     let pct = |hits: u64, misses: u64| -> f64 {
         if hits + misses == 0 {
@@ -1805,13 +1806,13 @@ pub fn e14(distinct: usize, variants: usize) -> ExperimentOutput {
         latencies.sort();
         let p50 = latencies[latencies.len() / 2];
 
-        let h0 = scrape(&addr, "flqd_snapshot_hits ");
-        let s0 = scrape(&addr, "flqd_snapshot_misses ");
+        let h0 = scrape(&addr, "flqd_snapshot_cache_hits_total ");
+        let s0 = scrape(&addr, "flqd_snapshot_cache_misses_total ");
         for (q1, q2) in &fresh_texts {
             post(&mut client, q1, q2);
         }
-        let snap_hits = scrape(&addr, "flqd_snapshot_hits ") - h0;
-        let snap_misses = scrape(&addr, "flqd_snapshot_misses ") - s0;
+        let snap_hits = scrape(&addr, "flqd_snapshot_cache_hits_total ") - h0;
+        let snap_misses = scrape(&addr, "flqd_snapshot_cache_misses_total ") - s0;
         handle.shutdown();
         join.join().expect("server thread").expect("clean drain");
 

@@ -4,33 +4,39 @@
 //! backtracking homomorphism search), while real workloads — query
 //! minimisation, union checks, many users asking about syntactic variants
 //! of the same schema queries — keep asking *semantically identical*
-//! questions. [`DecisionCache`] memoizes verdicts under a **semantic
-//! canonical form**: the classic core ([`flogic_hom::classic_core`])
+//! questions. Each query therefore gets **one canonical representative**,
+//! [`canonical_query`]: the classic core ([`flogic_hom::classic_core`])
 //! under a deterministic total variable/atom ordering. Renamed variables,
-//! permuted conjuncts and redundant (core-foldable) atoms all land on the
-//! same entry, because classically equivalent queries answer every
-//! Σ-containment question alike (equivalent queries have identical
+//! permuted conjuncts and redundant (core-foldable) atoms all map to the
+//! same representative, because classically equivalent queries answer
+//! every Σ-containment question alike (equivalent queries have identical
 //! answers on every database, hence on every model of Σ).
 //!
 //! The total ordering replaces an earlier greedy pass whose tie-breaking
 //! fell back to input order, so isomorphic queries could get distinct
-//! keys. The new pass backtracks over tied choices and emits the
+//! representatives. The pass backtracks over tied choices and emits the
 //! lexicographically least complete encoding; for any two isomorphic
 //! queries within the (deterministic) search budget the encodings are
-//! equal, so equal keys are now both sound *and* — up to the budget —
-//! complete: equal keys always mean equivalent queries, and equivalent
-//! queries get equal keys unless a pathologically symmetric body exhausts
-//! [`CANON_NODE_BUDGET`], in which case the pass degrades to the greedy
-//! choice and the only cost is a possible extra recomputation, never a
-//! wrong answer.
+//! equal, so equal representatives always mean equivalent queries, and
+//! equivalent queries get equal representatives unless a pathologically
+//! symmetric body exhausts [`CANON_NODE_BUDGET`], in which case the pass
+//! degrades to the greedy choice and the only cost is a possible extra
+//! recomputation, never a wrong answer.
 //!
-//! Canonicalization is governed by [`ContainmentOptions::canon`]
-//! (default on; `flqd` exposes `--no-canon`): with it off, keys use the
-//! structural form only (no core), reproducing the pre-semantic
-//! behaviour. Truncated runs (an explicit level bound *below* the
-//! Theorem 12 bound) always key structurally with their effective bound —
-//! their verdicts answer a bound-dependent question about the literal
-//! query, not its core, and must never be replayed across bounds.
+//! `canonical_query` is the only code that runs that search. Every key
+//! is a linear read of a query **as written** ([`QueryKey::as_written`]:
+//! variables numbered by first occurrence, atoms in written order), so
+//! spellings are unified once, upstream, and no cache re-runs the search.
+//! [`DecisionCache`] keys a pair by its representatives when
+//! [`canonical_pair`] applies — [`ContainmentOptions::canon`] on and the
+//! run exact — and keys the pair as written otherwise. With canon off
+//! (`flqd --no-canon`, or a caller that already substituted the
+//! representatives), renamed spellings still share an entry; permuted and
+//! redundant-atom spellings do not. Truncated runs (an explicit level
+//! bound *below* the Theorem 12 bound) always key as written with their
+//! effective bound — their verdicts answer a bound-dependent question
+//! about the literal query, not its core, and must never be replayed
+//! across bounds.
 //!
 //! Cache hits/misses and canonicalization passes are reported to the
 //! process-global [`flogic_term::Metrics`] (`flq_canon_*` counters),
@@ -50,27 +56,17 @@ use crate::decide::{
 };
 use crate::CoreError;
 
-/// A term in canonical form: variables are replaced by their
-/// first-occurrence index (head first, then the canonically ordered
-/// body), everything else is kept verbatim.
+/// A term of a [`QueryKey`]: variables are replaced by their
+/// first-occurrence index, everything else is kept verbatim.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub(crate) enum CanonTerm {
     /// A rigid constant, by name.
     Const(Symbol),
     /// A labelled null (cannot appear in well-formed queries, but the
-    /// canonicalization is total anyway), by id.
+    /// key is total anyway), by id.
     Null(u64),
     /// A variable, by first-occurrence index.
     Var(u32),
-}
-
-/// A query in canonical form. Two queries with equal `CanonQuery`s are
-/// identical up to variable renaming and body-conjunct order, hence
-/// `Σ_FL`-equivalent — they answer every containment question alike.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub(crate) struct CanonQuery {
-    pub(crate) head: Vec<CanonTerm>,
-    pub(crate) body: Vec<(Pred, Vec<CanonTerm>)>,
 }
 
 /// Ordering key for an atom *under a partial variable numbering*:
@@ -122,13 +118,17 @@ fn number_atom(atom: &Atom, numbering: &mut HashMap<Symbol, u32>) -> EncodedAtom
         .map(|t| match t {
             Term::Const(s) => KeyTerm::Const(s.as_str()),
             Term::Null(n) => KeyTerm::Null(n.0),
-            Term::Var(v) => {
-                let next = numbering.len() as u32;
-                KeyTerm::Var(*numbering.entry(*v).or_insert(next))
-            }
+            Term::Var(v) => KeyTerm::Var(number(*v, numbering)),
         })
         .collect();
     (atom.pred().index(), args)
+}
+
+/// `v`'s first-occurrence index in `numbering`, assigning the next free
+/// one on first sight.
+fn number(v: Symbol, numbering: &mut HashMap<Symbol, u32>) -> u32 {
+    let next = numbering.len() as u32;
+    *numbering.entry(v).or_insert(next)
 }
 
 /// Cap on the number of *extra* branches (beyond the greedy first choice)
@@ -213,65 +213,16 @@ impl CanonSearch<'_> {
     }
 }
 
-fn assign(t: &Term, numbering: &mut HashMap<Symbol, u32>) -> CanonTerm {
-    match t {
-        Term::Const(s) => CanonTerm::Const(*s),
-        Term::Null(n) => CanonTerm::Null(n.0),
-        Term::Var(v) => {
-            let next = numbering.len() as u32;
-            CanonTerm::Var(*numbering.entry(*v).or_insert(next))
-        }
-    }
-}
-
-/// Computes the *structural* canonical form: number the head variables in
-/// head order (the head is the one part of a query whose order is
-/// semantically fixed), then emit body atoms in the order found by
-/// [`CanonSearch`], extending the numbering with each emitted atom's
-/// fresh variables. Also returns the emission order (indices into
-/// `q.body()`) and the final variable numbering, so callers can rebuild a
-/// real [`ConjunctiveQuery`] in canonical shape.
-fn canonicalize_full(q: &ConjunctiveQuery) -> (CanonQuery, Vec<usize>, HashMap<Symbol, u32>) {
-    let mut numbering: HashMap<Symbol, u32> = HashMap::new();
-    let head = q.head().iter().map(|t| assign(t, &mut numbering)).collect();
-    let order = CanonSearch {
-        atoms: q.body(),
-        budget: CANON_NODE_BUDGET,
-    }
-    .emission_order(&numbering);
-    let mut body = Vec::with_capacity(order.len());
-    for &i in &order {
-        let atom = &q.body()[i];
-        body.push((
-            atom.pred(),
-            atom.args()
-                .iter()
-                .map(|t| assign(t, &mut numbering))
-                .collect(),
-        ));
-    }
-    (CanonQuery { head, body }, order, numbering)
-}
-
-fn canonicalize(q: &ConjunctiveQuery) -> CanonQuery {
-    canonicalize_full(q).0
-}
-
-/// The semantic half of a cache key — the canonicalized classic core plus
-/// the core's size — with the pass recorded on the global metrics.
-fn semantic_parts(q: &ConjunctiveQuery) -> (CanonQuery, usize) {
-    let start = Instant::now();
-    let core = classic_core(q);
-    let reduced = core.size() < q.size();
-    let canon = canonicalize(&core);
-    Metrics::global().record_canon(start.elapsed(), reduced);
-    (canon, core.size())
-}
-
 /// The semantic canonical representative of `q` as a real query: the
 /// classic core with canonical variable names (`C0`, `C1`, … in canonical
 /// numbering order) and body atoms in canonical emission order. The query
 /// name is preserved (containment ignores it).
+///
+/// The head is numbered first, in head order (the one part of a query
+/// whose order is semantically fixed); the body atoms follow in the order
+/// the ordering search finds, each extending the numbering with its fresh
+/// variables. So the representative, read as written, *is* the canonical
+/// encoding: `QueryKey::of(q) == QueryKey::as_written(&canonical_query(q))`.
 ///
 /// Every query in an equivalence class maps to the *same* representative
 /// (up to the search budget, see the module docs), so deciding on the
@@ -296,17 +247,27 @@ pub fn canonical_query(q: &ConjunctiveQuery) -> ConjunctiveQuery {
     let start = Instant::now();
     let core = classic_core(q);
     let reduced = core.size() < q.size();
-    let (_, order, numbering) = canonicalize_full(&core);
-    let rename = |t: &Term| match t {
-        Term::Var(v) => Term::var(&format!("C{}", numbering[v])),
+    let mut numbering: HashMap<Symbol, u32> = HashMap::new();
+    for t in core.head() {
+        if let Term::Var(v) = t {
+            number(*v, &mut numbering);
+        }
+    }
+    let order = CanonSearch {
+        atoms: core.body(),
+        budget: CANON_NODE_BUDGET,
+    }
+    .emission_order(&numbering);
+    let mut rename = |t: &Term| match t {
+        Term::Var(v) => Term::var(&format!("C{}", number(*v, &mut numbering))),
         other => *other,
     };
-    let head: Vec<Term> = core.head().iter().map(rename).collect();
+    let head: Vec<Term> = core.head().iter().map(&mut rename).collect();
     let body: Vec<Atom> = order
         .iter()
         .map(|&i| {
             let a = &core.body()[i];
-            let args: Vec<Term> = a.args().iter().map(rename).collect();
+            let args: Vec<Term> = a.args().iter().map(&mut rename).collect();
             Atom::new(a.pred(), &args).expect("renaming preserves arity")
         })
         .collect();
@@ -316,12 +277,30 @@ pub fn canonical_query(q: &ConjunctiveQuery) -> ConjunctiveQuery {
     out
 }
 
-/// The canonical representatives of a pair, when substituting them is
-/// sound for the run `opts` describes: [`ContainmentOptions::canon`] must
-/// be on and the run must be *exact* (no explicit level bound below the
-/// bound derived from the original sizes). Returns `None` otherwise —
-/// truncated runs answer a bound-dependent question about the literal
-/// queries, so their inputs must be left alone.
+/// Whether substituting canonical representatives is sound for the run
+/// `opts` describes: [`ContainmentOptions::canon`] must be on and the run
+/// must be *exact* (no explicit level bound below the bound derived from
+/// the original sizes). Truncated runs answer a bound-dependent question
+/// about the literal queries, so their inputs must be left alone. A pair
+/// whose head arities differ is an error, not a question, so it is left
+/// alone too (the error then names the original queries).
+///
+/// This is the one statement of that rule: [`canonical_pair`], the
+/// [`DecisionCache`] key and `flqd`'s request path all ask it.
+pub fn canon_applies(
+    q1: &ConjunctiveQuery,
+    q2: &ConjunctiveQuery,
+    opts: &ContainmentOptions,
+) -> bool {
+    opts.canon
+        && q1.arity() == q2.arity()
+        && !opts
+            .level_bound
+            .is_some_and(|b| b < derived_bound(opts, q1.size(), q2.size()))
+}
+
+/// The canonical representatives of a pair, when [`canon_applies`] says
+/// substituting them is sound; `None` otherwise.
 ///
 /// On `Some((c1, c2))`, deciding `c1 ⊆ c2` under the bound derived from
 /// the *core* sizes gives the same verdict as the original pair under its
@@ -333,31 +312,25 @@ pub fn canonical_pair(
     q2: &ConjunctiveQuery,
     opts: &ContainmentOptions,
 ) -> Option<(ConjunctiveQuery, ConjunctiveQuery)> {
-    if !opts.canon {
-        return None;
-    }
-    let derived = derived_bound(opts, q1.size(), q2.size());
-    if opts.level_bound.is_some_and(|b| b < derived) {
-        return None;
-    }
-    Some((canonical_query(q1), canonical_query(q2)))
+    canon_applies(q1, q2, opts).then(|| (canonical_query(q1), canonical_query(q2)))
 }
 
-/// An opaque, hashable canonical key for a single query.
+/// An opaque, hashable key for a single query.
 ///
-/// [`QueryKey::of`] is the *semantic* key (classic core + total
-/// ordering): equal keys mean classically equivalent queries, which
-/// answer every `Σ`-containment question alike. [`QueryKey::structural`]
-/// skips the core: equal keys mean identical up to variable renaming and
-/// body-conjunct order only.
+/// [`QueryKey::as_written`] reads the query as written, in one linear
+/// pass: equal keys mean identical up to variable renaming. A permuted or
+/// padded spelling gets a different key. [`QueryKey::of`] is the
+/// *semantic* key, the as-written key of the [`canonical_query`]
+/// representative: equal keys mean classically equivalent queries, which
+/// answer every `Σ`-containment question alike.
 ///
 /// This is the per-query half of the [`DecisionCache`] key, exported so
 /// resident services can key *their own* caches with the same discipline
-/// (the `flqd` snapshot cache keys chase snapshots structurally, because
+/// (the `flqd` snapshot cache keys chase snapshots as written, because
 /// the server substitutes [`canonical_query`] representatives up front).
 ///
 /// ```
-/// use flogic_core::QueryKey;
+/// use flogic_core::{canonical_query, QueryKey};
 /// use flogic_syntax::parse_query;
 /// let a = parse_query("q(X, Z) :- sub(X, Y), sub(Y, Z).").unwrap();
 /// let b = parse_query("p(A, C) :- sub(B, C), sub(A, B).").unwrap();
@@ -365,56 +338,70 @@ pub fn canonical_pair(
 /// // A redundant atom folds into the core, so the semantic keys agree …
 /// let c = parse_query("q(X, Z) :- sub(X, Y), sub(Y, Z), sub(X, W), sub(W, Z).").unwrap();
 /// assert_eq!(QueryKey::of(&a), QueryKey::of(&c));
-/// // … while the structural keys (no core) see different bodies.
-/// assert_ne!(QueryKey::structural(&a), QueryKey::structural(&c));
+/// // … while as written, only a renaming shares a key.
+/// let r = parse_query("r(U, W) :- sub(U, V), sub(V, W).").unwrap();
+/// assert_eq!(QueryKey::as_written(&a), QueryKey::as_written(&r));
+/// assert_ne!(QueryKey::as_written(&a), QueryKey::as_written(&b));
+/// assert_ne!(QueryKey::as_written(&a), QueryKey::as_written(&c));
+/// assert_eq!(QueryKey::of(&b), QueryKey::as_written(&canonical_query(&b)));
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct QueryKey(CanonQuery);
+pub struct QueryKey {
+    pub(crate) head: Vec<CanonTerm>,
+    pub(crate) body: Vec<(Pred, Vec<CanonTerm>)>,
+}
 
 impl QueryKey {
-    /// The semantic canonical key of `q`: its classic core under the
-    /// deterministic total ordering. Invariant under renaming, body
+    /// The semantic key of `q`: the as-written key of its
+    /// [`canonical_query`] representative. Invariant under renaming, body
     /// permutation, and redundant-atom insertion. Records the pass on
     /// the global `flq_canon_*` metrics.
     pub fn of(q: &ConjunctiveQuery) -> QueryKey {
-        QueryKey(semantic_parts(q).0)
+        QueryKey::as_written(&canonical_query(q))
     }
 
-    /// The structural canonical key of `q`: the total ordering without
-    /// core reduction. Invariant under renaming and body permutation
-    /// only — redundant atoms stay part of the key. Use this when the
-    /// keyed artifact depends on the query's literal body (e.g. a chase
-    /// built to a bound derived from `q`'s size).
-    pub fn structural(q: &ConjunctiveQuery) -> QueryKey {
-        QueryKey(canonicalize(q))
+    /// The key of `q` as written: variables numbered by first occurrence
+    /// (head first, then the body in written order), atoms in written
+    /// order. Linear in the query's size; runs no search and no core.
+    pub fn as_written(q: &ConjunctiveQuery) -> QueryKey {
+        let mut numbering: HashMap<Symbol, u32> = HashMap::new();
+        let mut key_term = |t: &Term| match t {
+            Term::Const(s) => CanonTerm::Const(*s),
+            Term::Null(n) => CanonTerm::Null(n.0),
+            Term::Var(v) => CanonTerm::Var(number(*v, &mut numbering)),
+        };
+        let head = q.head().iter().map(&mut key_term).collect();
+        let body = q
+            .body()
+            .iter()
+            .map(|a| (a.pred(), a.args().iter().map(&mut key_term).collect()))
+            .collect();
+        QueryKey { head, body }
     }
 }
 
-/// Cache key: a canonical pair plus a level bound, the analysis toggle
-/// and the rule-set fingerprint.
+/// Cache key: a pair of query keys plus a level bound, the analysis
+/// toggle and the rule-set fingerprint.
 ///
-/// Two key shapes share the table, told apart by their `bound`:
+/// Every key reads its pair as written under the *effective* bound
+/// `min(requested, derived)`; what it reads depends on [`canon_applies`]:
 ///
-/// * **Exact, semantic** (canon on, no truncating explicit bound): `q1`
-///   and `q2` are the canonicalized *cores*, and `bound` is re-derived
-///   from the **core** sizes — so every variant with the same cores lands
-///   on one key even though the variants' own sizes (hence their own
-///   Theorem 12 bounds) differ.
-/// * **Structural** (canon off, or an explicit bound below the derived
-///   one): `q1`/`q2` are the structural forms of the literal queries and
-///   `bound` is the *effective* bound `min(requested, derived)`. An
-///   explicit bound below the derived one makes the procedure sound but
-///   incomplete, so its verdicts answer a *different question* and must
-///   never be replayed for an exact call. Clamping at the derived bound
-///   also makes all *sufficient* bounds share one entry.
+/// * **Canonical** (canon on, exact run): the [`canonical_query`]
+///   representatives, whose effective bound is the one derived from the
+///   **core** sizes — so every variant with the same cores lands on one
+///   key even though the variants' own sizes (hence their own Theorem 12
+///   bounds) differ. The canon-on key of a pair is therefore the canon-off
+///   key of its representatives, which is what `flqd` (it substitutes the
+///   representatives itself) files its decisions under.
+/// * **As written** (canon off, or an explicit bound below the derived
+///   one): the literal queries. An explicit bound below the derived one
+///   makes the procedure sound but incomplete, so its verdicts answer a
+///   *different question* and must never be replayed for an exact call.
+///   Clamping at the derived bound also makes all *sufficient* bounds
+///   share one entry.
 ///
-/// The shapes cannot collide wrongly: if a structural key ever equals a
-/// semantic key, the structural query *is* (isomorphic to) a core, so the
-/// bound derived from its own sizes equals the semantic entry's
-/// core-derived bound — and then either the structural entry is an exact
-/// canon-off entry asking the very same question (sharing is a correct
-/// bonus hit), or it is truncated and its strictly smaller bound keeps
-/// the entries apart.
+/// Equal keys mean renamings of one written pair under one bound, so
+/// entries cannot collide wrongly.
 ///
 /// The analysis toggle is in the key because the fast path, while
 /// verdict-identical, reports different run metadata
@@ -432,15 +419,33 @@ impl QueryKey {
 /// consistent with it sharing the built-in code paths everywhere else.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub(crate) struct CacheKey {
-    pub(crate) q1: CanonQuery,
-    pub(crate) q2: CanonQuery,
+    pub(crate) q1: QueryKey,
+    pub(crate) q2: QueryKey,
     pub(crate) bound: u32,
     pub(crate) analysis: bool,
     pub(crate) sigma: u64,
 }
 
-/// The cache key a [`DecisionCache`] lookup would use for `(q1, q2)`
-/// under `opts` — exposed crate-internally so the persistence codec
+impl CacheKey {
+    /// Keys `(q1, q2)` as written, under the effective bound
+    /// `min(requested, derived)`. For the representatives of a pair
+    /// [`canon_applies`] to, that is their own core-derived bound: derived
+    /// bounds never shrink as bodies grow, a core is no larger than its
+    /// query, and the gate admits no explicit bound below the query's.
+    fn new(q1: &ConjunctiveQuery, q2: &ConjunctiveQuery, opts: &ContainmentOptions) -> CacheKey {
+        let derived = derived_bound(opts, q1.size(), q2.size());
+        CacheKey {
+            q1: QueryKey::as_written(q1),
+            q2: QueryKey::as_written(q2),
+            bound: opts.level_bound.map_or(derived, |b| b.min(derived)),
+            analysis: opts.analysis,
+            sigma: opts.sigma.fingerprint(),
+        }
+    }
+}
+
+/// The cache key a [`DecisionCache`] lookup uses for `(q1, q2)` under
+/// `opts` — exposed crate-internally so the persistence codec
 /// ([`crate::decision_key_bytes`]) serializes *exactly* the key the
 /// in-RAM tier hashes, shapes and all.
 pub(crate) fn pair_cache_key(
@@ -448,57 +453,9 @@ pub(crate) fn pair_cache_key(
     q2: &ConjunctiveQuery,
     opts: &ContainmentOptions,
 ) -> CacheKey {
-    PairKeyer::new(opts).key(q1, q2)
-}
-
-/// Builds [`CacheKey`]s for one `q1` against one or many `q2`s, computing
-/// each canonical form of `q1` at most once (the batch path shares it
-/// across the whole batch).
-struct PairKeyer<'a> {
-    opts: &'a ContainmentOptions,
-    sigma: u64,
-    structural_q1: Option<CanonQuery>,
-    semantic_q1: Option<(CanonQuery, usize)>,
-}
-
-impl<'a> PairKeyer<'a> {
-    fn new(opts: &'a ContainmentOptions) -> PairKeyer<'a> {
-        PairKeyer {
-            opts,
-            sigma: opts.sigma.fingerprint(),
-            structural_q1: None,
-            semantic_q1: None,
-        }
-    }
-
-    fn key(&mut self, q1: &ConjunctiveQuery, q2: &ConjunctiveQuery) -> CacheKey {
-        let derived = derived_bound(self.opts, q1.size(), q2.size());
-        let effective = self.opts.level_bound.map_or(derived, |b| b.min(derived));
-        if self.opts.canon && effective == derived {
-            let (c1, s1) = self
-                .semantic_q1
-                .get_or_insert_with(|| semantic_parts(q1))
-                .clone();
-            let (c2, s2) = semantic_parts(q2);
-            CacheKey {
-                q1: c1,
-                q2: c2,
-                bound: derived_bound(self.opts, s1, s2),
-                analysis: self.opts.analysis,
-                sigma: self.sigma,
-            }
-        } else {
-            CacheKey {
-                q1: self
-                    .structural_q1
-                    .get_or_insert_with(|| canonicalize(q1))
-                    .clone(),
-                q2: canonicalize(q2),
-                bound: effective,
-                analysis: self.opts.analysis,
-                sigma: self.sigma,
-            }
-        }
+    match canonical_pair(q1, q2, opts) {
+        Some((c1, c2)) => CacheKey::new(&c1, &c2, opts),
+        None => CacheKey::new(q1, q2, opts),
     }
 }
 
@@ -663,7 +620,7 @@ impl DecisionCache {
         opts: &ContainmentOptions,
         compute: impl FnOnce() -> Result<ContainmentResult, CoreError>,
     ) -> Result<ContainmentResult, CoreError> {
-        let key = PairKeyer::new(opts).key(q1, q2);
+        let key = pair_cache_key(q1, q2, opts);
         let hit = self.lookup(&key);
         let was_hit = hit.is_some();
         opts.trace
@@ -680,20 +637,31 @@ impl DecisionCache {
     /// (up to semantic equivalence) are answered from the memo table,
     /// within-batch repeats of the same canonical pair are decided once
     /// and fanned out, and the single shared chase of `q1` is built only
-    /// when at least one pair misses. `q1`'s canonical forms are computed
-    /// once for the whole batch.
+    /// when at least one pair misses. `q1`'s canonical representative is
+    /// computed once for the whole batch.
     pub fn contains_batch(
         &self,
         q1: &ConjunctiveQuery,
         q2s: &[ConjunctiveQuery],
         opts: &ContainmentOptions,
     ) -> Vec<Result<ContainmentResult, CoreError>> {
-        let mut keyer = PairKeyer::new(opts);
-        // Per-pair effective bound, even though the shared chase is built
-        // to the batch maximum: a verdict computed at a bound ≥ the
-        // pair's own effective bound answers exactly the per-pair
-        // question (Theorem 12 completeness).
-        let keys: Vec<CacheKey> = q2s.iter().map(|q2| keyer.key(q1, q2)).collect();
+        // Per-pair bound, even though the shared chase is built to the
+        // batch maximum: a verdict computed at a bound ≥ the pair's own
+        // effective bound answers exactly the per-pair question
+        // (Theorem 12 completeness). `q1`'s representative is computed
+        // at most once for the whole batch.
+        let mut c1: Option<ConjunctiveQuery> = None;
+        let keys: Vec<CacheKey> = q2s
+            .iter()
+            .map(|q2| {
+                if canon_applies(q1, q2, opts) {
+                    let c1 = c1.get_or_insert_with(|| canonical_query(q1));
+                    CacheKey::new(c1, &canonical_query(q2), opts)
+                } else {
+                    CacheKey::new(q1, q2, opts)
+                }
+            })
+            .collect();
 
         // One representative slot per canonical pair that misses the memo
         // table; later occurrences of the same key are served from the
@@ -765,16 +733,16 @@ mod tests {
     fn canonical_form_ignores_variable_names_and_atom_order() {
         let a = q("q(X, Z) :- sub(X, Y), sub(Y, Z).");
         let b = q("p(A, C) :- sub(B, C), sub(A, B).");
-        assert_eq!(canonicalize(&a), canonicalize(&b));
+        assert_eq!(QueryKey::of(&a), QueryKey::of(&b));
     }
 
     #[test]
     fn canonical_form_distinguishes_different_shapes() {
         let a = q("q(X) :- member(X, c1).");
         let b = q("q(X) :- member(X, c2).");
-        assert_ne!(canonicalize(&a), canonicalize(&b));
+        assert_ne!(QueryKey::of(&a), QueryKey::of(&b));
         let c = q("q(X) :- member(X, Y).");
-        assert_ne!(canonicalize(&a), canonicalize(&c));
+        assert_ne!(QueryKey::of(&a), QueryKey::of(&c));
     }
 
     #[test]
@@ -782,7 +750,7 @@ mod tests {
         // sub(X, X) is not sub(X, Y): the numbering tells them apart.
         let a = q("q() :- sub(X, X).");
         let b = q("q() :- sub(X, Y).");
-        assert_ne!(canonicalize(&a), canonicalize(&b));
+        assert_ne!(QueryKey::of(&a), QueryKey::of(&b));
     }
 
     #[test]
@@ -794,12 +762,12 @@ mod tests {
         // picks the least complete encoding for both.
         let a = q("q() :- sub(X, Y), sub(Y, Z).");
         let b = q("q() :- sub(B, C), sub(A, B).");
-        assert_eq!(canonicalize(&a), canonicalize(&b));
+        assert_eq!(QueryKey::of(&a), QueryKey::of(&b));
         // Deeper tie: two interleaved chains, emitted from whichever end
         // minimises the encoding regardless of input order.
         let c = q("r() :- sub(X, Y), sub(Y, Z), member(M, Y).");
         let d = q("r() :- sub(V2, V3), member(V4, V2), sub(V1, V2).");
-        assert_eq!(canonicalize(&c), canonicalize(&d));
+        assert_eq!(QueryKey::of(&c), QueryKey::of(&d));
     }
 
     #[test]
@@ -818,7 +786,7 @@ mod tests {
         let a = q("q(X) :- member(X, C), sub(C, D).");
         let b = q("p(U) :- member(U, C1), sub(C1, D1), member(U, C2), sub(C2, D2).");
         assert_eq!(QueryKey::of(&a), QueryKey::of(&b));
-        assert_ne!(QueryKey::structural(&a), QueryKey::structural(&b));
+        assert_ne!(QueryKey::as_written(&a), QueryKey::as_written(&b));
     }
 
     #[test]
@@ -862,7 +830,7 @@ mod tests {
     }
 
     #[test]
-    fn canon_off_keys_structurally() {
+    fn canon_off_keys_as_written() {
         let cache = DecisionCache::new();
         let off = ContainmentOptions {
             canon: false,
@@ -874,10 +842,28 @@ mod tests {
         assert!(cache.contains_with(&q1, &q2, &off).unwrap().holds());
         assert!(cache.contains_with(&q1v, &q2, &off).unwrap().holds());
         assert_eq!(cache.len(), 2, "canon off: variants key separately");
-        // Renaming alone still hits (the structural form handles it).
-        let q1r = q("z(A) :- sub(B, C), member(A, B).");
+        // A renaming of the written query still hits …
+        let q1r = q("z(A) :- member(A, B), sub(B, C).");
         assert!(cache.contains_with(&q1r, &q2, &off).unwrap().holds());
         assert_eq!(cache.len(), 2);
+        // … a permutation does not: spellings are unified upstream, by
+        // `canonical_query`, never by the cache.
+        let q1p = q("z(A) :- sub(B, C), member(A, B).");
+        assert!(cache.contains_with(&q1p, &q2, &off).unwrap().holds());
+        assert_eq!(cache.len(), 3);
+        // Representatives keyed as written share one entry, and it is the
+        // entry a canon-on lookup of any spelling lands on.
+        let canonical = DecisionCache::new();
+        for spelling in [&q1, &q1v, &q1r, &q1p] {
+            let c1 = canonical_query(spelling);
+            let c2 = canonical_query(&q2);
+            assert!(canonical.contains_with(&c1, &c2, &off).unwrap().holds());
+        }
+        assert_eq!(canonical.len(), 1);
+        let before = Metrics::global().snapshot();
+        assert!(canonical.contains(&q1p, &q2).unwrap().holds());
+        assert!(Metrics::global().snapshot().since(&before).cache_hits >= 1);
+        assert_eq!(canonical.len(), 1);
     }
 
     #[test]

@@ -75,13 +75,16 @@ pub struct ContainmentOptions {
     /// unsat` ρ4 shortcut applies only to `Σ_FL` itself).
     pub sigma: Arc<RuleSet>,
     /// Key caches *semantically*: [`crate::DecisionCache`] keys complete
-    /// (non-truncated) decisions by the classic core of each query, so
-    /// classically equivalent spellings — renamed variables, permuted
-    /// conjuncts, redundant atoms — share one entry. The verdict is
-    /// identical with the toggle on or off (a core answers every
-    /// Σ-containment question exactly like the query it minimizes); only
-    /// hit rates and the [`Metrics`] canon counters change. The
-    /// uncached [`contains_with`] ignores this knob entirely.
+    /// (non-truncated) decisions by the [`crate::canonical_query`]
+    /// representative of each query, so classically equivalent spellings
+    /// — renamed variables, permuted conjuncts, redundant atoms — share
+    /// one entry. Off, the cache keys the queries as written: renamed
+    /// spellings still share an entry, permuted and redundant ones do
+    /// not (the setting for a caller that substitutes representatives
+    /// itself). The verdict is identical with the toggle on or off (a
+    /// core answers every Σ-containment question exactly like the query
+    /// it minimizes); only hit rates and the [`Metrics`] canon counters
+    /// change. The uncached [`contains_with`] ignores this knob entirely.
     /// Default: `true`.
     pub canon: bool,
 }

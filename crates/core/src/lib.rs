@@ -26,12 +26,13 @@
 //!   syntax;
 //! * [`contains_batch`] — decides one `q1` against many candidate
 //!   containers, sharing a single chase of `q1`;
-//! * [`DecisionCache`] — a memo table keyed by a *semantic* canonical
-//!   form of the query pair (classic core + deterministic total
-//!   ordering, so renamed, permuted and redundant-atom variants share
-//!   one entry; [`QueryKey`] exposes the per-query half of that key to
-//!   resident services, and [`canonical_query`] / [`canonical_pair`]
-//!   expose the canonical representatives themselves);
+//! * [`DecisionCache`] — a memo table keyed by the *canonical
+//!   representatives* of the query pair ([`canonical_query`]: classic
+//!   core + deterministic total ordering, so renamed, permuted and
+//!   redundant-atom variants share one entry); [`canonical_pair`] /
+//!   [`canon_applies`] expose the representatives and the rule for when
+//!   substituting them is exact, and [`QueryKey`] the per-query half of
+//!   the key (read as written) to resident services;
 //! * [`ChaseSnapshot`] — a resident, reusable chase of one `q1` so that
 //!   long-lived processes (the `flqd` server) decide repeated questions
 //!   about the same `q1` with the homomorphism search alone;
@@ -51,7 +52,7 @@ mod rewrite;
 mod snapshot;
 mod union;
 
-pub use cache::{canonical_pair, canonical_query, DecisionCache, QueryKey};
+pub use cache::{canon_applies, canonical_pair, canonical_query, DecisionCache, QueryKey};
 pub use classic::classic_contains;
 pub use decide::{
     bound_from_sizes, contains, contains_batch, contains_with, theorem_bound, ContainmentOptions,

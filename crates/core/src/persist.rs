@@ -11,13 +11,14 @@
 //!   UTF-8), never by interner id;
 //! * predicates are serialized by their [`Pred::index`], which is fixed
 //!   by the `Σ_FL` signature and stable by construction;
-//! * canonical variables are serialized by their first-occurrence index,
-//!   which the canonicalization pass already makes deterministic;
+//! * variables are serialized by their first-occurrence index in the
+//!   keyed query as written (for a canonical key, the representative
+//!   that `canonical_query` made deterministic);
 //! * all integers are little-endian and fixed-width.
 //!
 //! [`decision_key_bytes`] serializes *exactly* the key the in-RAM tier
 //! would hash for the same `(q1, q2, opts)` triple — both key shapes
-//! (semantic and structural, see [`crate::DecisionCache`]), the
+//! (canonical and as written, see [`crate::DecisionCache`]), the
 //! effective bound, the analysis toggle, and the Σ fingerprint — so the
 //! two tiers always agree on which question a persisted entry answers.
 //!
@@ -39,7 +40,7 @@ use flogic_chase::{ChaseOutcome, ExhaustReason};
 use flogic_model::ConjunctiveQuery;
 use flogic_term::{NullId, Symbol, Term};
 
-use crate::cache::{pair_cache_key, CanonQuery, CanonTerm};
+use crate::cache::{pair_cache_key, CanonTerm, QueryKey};
 use crate::decide::{ContainmentOptions, ContainmentResult, Verdict};
 
 /// Version byte leading every persisted key and value produced by this
@@ -125,7 +126,7 @@ fn put_canon_term(out: &mut Vec<u8>, t: &CanonTerm) {
     }
 }
 
-fn put_canon_query(out: &mut Vec<u8>, q: &CanonQuery) {
+fn put_query_key(out: &mut Vec<u8>, q: &QueryKey) {
     put_u32(out, q.head.len() as u32);
     for t in &q.head {
         put_canon_term(out, t);
@@ -145,12 +146,15 @@ fn put_canon_query(out: &mut Vec<u8>, q: &CanonQuery) {
 ///
 /// This is the byte-for-byte serialization of the same [`CacheKey`]
 /// shape the in-RAM [`DecisionCache`](crate::DecisionCache) hashes —
-/// semantic (canonicalized cores + core-derived bound) when the run is
-/// exact and canonicalization is on, structural (literal queries +
-/// effective bound) otherwise — so a persisted entry is a hit exactly
-/// when the in-RAM tier would have hit, across restarts and across
-/// processes with differently-populated interners. Two calls with
-/// semantically equivalent inputs produce identical byte keys.
+/// the canonical representatives with the core-derived bound when the
+/// run is exact and canonicalization is on, the literal queries as
+/// written with the effective bound otherwise — so a persisted entry is
+/// a hit exactly when the in-RAM tier would have hit, across restarts
+/// and across processes with differently-populated interners. With
+/// canonicalization on, two calls with semantically equivalent inputs
+/// produce identical byte keys, and they equal the canon-off key of the
+/// [`canonical_pair`](crate::canonical_pair) representatives — the key
+/// `flqd` files its substituted pairs under.
 ///
 /// [`CacheKey`]: crate::DecisionCache
 ///
@@ -174,8 +178,8 @@ pub fn decision_key_bytes(
     let key = pair_cache_key(q1, q2, opts);
     let mut out = Vec::with_capacity(128);
     out.push(PERSIST_FORMAT_VERSION);
-    put_canon_query(&mut out, &key.q1);
-    put_canon_query(&mut out, &key.q2);
+    put_query_key(&mut out, &key.q1);
+    put_query_key(&mut out, &key.q2);
     put_u32(&mut out, key.bound);
     out.push(key.analysis as u8);
     put_u64(&mut out, key.sigma);

@@ -32,7 +32,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use flogic_core::{
-    canonical_pair, canonical_query, theorem_bound, ContainmentOptions, ContainmentResult,
+    canon_applies, canonical_query, theorem_bound, ContainmentOptions, ContainmentResult,
     CoreError, QueryKey, Verdict,
 };
 use flogic_model::ConjunctiveQuery;
@@ -88,7 +88,8 @@ pub struct ServerConfig {
     /// (classic core + total ordering) before the warm caches
     /// (`--no-canon` turns it off). On by default: syntactic variants —
     /// renamed variables, permuted conjuncts, redundant atoms — share
-    /// decision-cache entries and chase snapshots. Verdicts are
+    /// decision-cache entries and chase snapshots. Off, the caches key
+    /// queries as written, so only renamed spellings share. Verdicts are
     /// identical with the toggle on or off.
     pub canon: bool,
     /// Structured JSONL access-log destination (`--access-log`): a file
@@ -388,7 +389,8 @@ fn contains_endpoint(shared: &Arc<Shared>, body: &[u8], meta: &mut ReqMeta) -> R
     };
     let opts = req.opts.apply(&shared.base_opts);
     meta.span.mark("decode");
-    match decide_pair(shared, &q1, &q2, &opts, Some(meta)) {
+    let mut reps = Representatives::default();
+    match decide_pair(shared, &mut reps, (&req.q1, &q1), &q2, &opts, Some(meta)) {
         Ok(result) => {
             meta.verdict = Some(verdict_name(&result));
             Response::json(200, api::verdict_json(&result))
@@ -398,14 +400,11 @@ fn contains_endpoint(shared: &Arc<Shared>, body: &[u8], meta: &mut ReqMeta) -> R
 }
 
 /// `POST /v1/contains_batch`: many pairs, verdicts in request order.
-/// Pairs that share a `q1` *semantically* share one canonical
-/// representative — and therefore one decision-cache key and one
-/// resident chase — the server-side analogue of
-/// [`contains_batch`](flogic_core::contains_batch). The grouping keys on
-/// [`QueryKey::of`] (core + canonical ordering), so renamed, permuted,
-/// or redundant variants of the same `q1` all land in one group; a raw
-/// text memo in front skips even the key computation for byte-identical
-/// repeats. Each reuse counts one `flqd_batch_dedup_hits_total`.
+/// Every pair takes `decide_pair`, the path `/v1/contains` takes, with
+/// one [`Representatives`] memo for the whole request: pairs that share
+/// a `q1` *semantically* share one canonical representative — and
+/// therefore one decision-cache key and one resident chase — the
+/// server-side analogue of [`contains_batch`](flogic_core::contains_batch).
 fn batch_endpoint(shared: &Arc<Shared>, body: &[u8], meta: &mut ReqMeta) -> Response {
     let req = match api::parse_batch(body) {
         Ok(req) => req,
@@ -429,46 +428,10 @@ fn batch_endpoint(shared: &Arc<Shared>, body: &[u8], meta: &mut ReqMeta) -> Resp
     }
     let opts = req.opts.apply(&shared.base_opts);
     meta.span.mark("decode");
-    // Dedup is sound exactly when the canonical substitution would run
-    // for the pair anyway: canonicalization on and no level-bound cap
-    // that could undercut the derived Theorem 12 bound (flqd requests
-    // never set one — mirrors `canonical_pair`'s own gate).
-    let dedup_ok = opts.canon && opts.level_bound.is_none();
-    let mut rep_of_text: HashMap<&str, usize> = HashMap::new();
-    let mut rep_of_key: HashMap<QueryKey, usize> = HashMap::new();
-    let mut reps: Vec<ConjunctiveQuery> = Vec::new();
+    let mut reps = Representatives::default();
     let mut results = Vec::with_capacity(parsed.len());
-    for (i, (q1, q2)) in parsed.iter().enumerate() {
-        let out = if dedup_ok && q1.arity() == q2.arity() {
-            let raw = req.pairs[i].0.as_str();
-            let idx = if let Some(&idx) = rep_of_text.get(raw) {
-                shared.obs.batch_dedup_hits.fetch_add(1, Ordering::Relaxed);
-                idx
-            } else {
-                match rep_of_key.entry(QueryKey::of(q1)) {
-                    Entry::Occupied(e) => {
-                        shared.obs.batch_dedup_hits.fetch_add(1, Ordering::Relaxed);
-                        let idx = *e.get();
-                        rep_of_text.insert(raw, idx);
-                        idx
-                    }
-                    Entry::Vacant(v) => {
-                        reps.push(canonical_query(q1));
-                        let idx = reps.len() - 1;
-                        v.insert(idx);
-                        rep_of_text.insert(raw, idx);
-                        idx
-                    }
-                }
-            };
-            let c2 = canonical_query(q2);
-            let mut o = opts.clone();
-            o.canon = false;
-            decide_canonical(shared, &reps[idx], &c2, &o).0
-        } else {
-            decide_pair(shared, q1, q2, &opts, None)
-        };
-        match out {
+    for ((text1, _), (q1, q2)) in req.pairs.iter().zip(&parsed) {
+        match decide_pair(shared, &mut reps, (text1, q1), q2, &opts, None) {
             Ok(result) => results.push(result),
             Err(e) => return api::core_error(&e).to_response(),
         }
@@ -477,33 +440,70 @@ fn batch_endpoint(shared: &Arc<Shared>, body: &[u8], meta: &mut ReqMeta) -> Resp
     Response::json(200, api::batch_json(&results))
 }
 
+/// The canonical `q1` representatives of one request. Each distinct
+/// `q1` wire text is canonicalized once ([`canonical_query`]); texts
+/// whose representatives are equal as written (renamed, permuted or
+/// redundant spellings of one core) share one representative. Each
+/// reuse counts one `flqd_batch_dedup_hits_total`.
+#[derive(Default)]
+struct Representatives<'a> {
+    by_text: HashMap<&'a str, usize>,
+    by_key: HashMap<QueryKey, usize>,
+    queries: Vec<ConjunctiveQuery>,
+}
+
+impl<'a> Representatives<'a> {
+    fn of(&mut self, shared: &Shared, text: &'a str, q1: &ConjunctiveQuery) -> &ConjunctiveQuery {
+        let idx = if let Some(&idx) = self.by_text.get(text) {
+            shared.obs.batch_dedup_hits.fetch_add(1, Ordering::Relaxed);
+            idx
+        } else {
+            let c1 = canonical_query(q1);
+            let idx = match self.by_key.entry(QueryKey::as_written(&c1)) {
+                Entry::Occupied(e) => {
+                    shared.obs.batch_dedup_hits.fetch_add(1, Ordering::Relaxed);
+                    *e.get()
+                }
+                Entry::Vacant(v) => {
+                    self.queries.push(c1);
+                    *v.insert(self.queries.len() - 1)
+                }
+            };
+            self.by_text.insert(text, idx);
+            idx
+        };
+        &self.queries[idx]
+    }
+}
+
 /// The warm decision path: decision cache over snapshot cache over the
 /// Theorem 12 engine. Verdict-identical to a fresh `contains_with` (the
 /// contract both caches document).
 ///
-/// With canonicalization on (the default), the pair is substituted by
-/// its semantic representatives ([`canonical_pair`]) *before* the cache
-/// stack: every syntactic variant of a pair — renamed variables,
-/// permuted conjuncts, redundant atoms — collapses to one decision-cache
-/// entry, one chase snapshot, and one consistent Theorem 12 bound
-/// (derived from the core sizes). The substituted run sets
-/// `opts.canon = false` so the decision cache keys the already-canonical
-/// inputs structurally instead of recomputing cores per lookup. Sound
-/// because classically equivalent queries answer every Σ-containment
-/// question alike; the wire format carries no witness, so canonical
-/// variable names never leak to clients.
-fn decide_pair(
+/// When [`canon_applies`] (canonicalization on, the default, and an
+/// exact run), the pair is substituted by its semantic representatives
+/// *before* the cache stack — `q1`'s from the request's `reps` memo,
+/// `q2`'s fresh — so every syntactic variant of a pair (renamed
+/// variables, permuted conjuncts, redundant atoms) collapses to one
+/// decision-cache entry, one chase snapshot, and one consistent
+/// Theorem 12 bound (derived from the core sizes). These are the only
+/// canonicalization passes of the request: the substituted run sets
+/// `opts.canon = false`, so the decision cache, the disk tier and the
+/// snapshot cache key the representatives as written. Sound because
+/// classically equivalent queries answer every Σ-containment question
+/// alike; the wire format carries no witness, so canonical variable
+/// names never leak to clients. Otherwise (`--no-canon`, a truncating
+/// bound, or an arity mismatch) the pair goes through as written.
+fn decide_pair<'a>(
     shared: &Arc<Shared>,
-    q1: &ConjunctiveQuery,
+    reps: &mut Representatives<'a>,
+    (text1, q1): (&'a str, &ConjunctiveQuery),
     q2: &ConjunctiveQuery,
     opts: &ContainmentOptions,
     mut meta: Option<&mut ReqMeta>,
 ) -> Result<ContainmentResult, CoreError> {
-    let canonical = if q1.arity() == q2.arity() {
-        canonical_pair(q1, q2, opts)
-    } else {
-        None
-    };
+    let canonical =
+        canon_applies(q1, q2, opts).then(|| (reps.of(shared, text1, q1), canonical_query(q2)));
     if let Some(m) = meta.as_deref_mut() {
         m.span.mark("canon");
     }
@@ -511,7 +511,7 @@ fn decide_pair(
         Some((c1, c2)) => {
             let mut opts = opts.clone();
             opts.canon = false;
-            decide_canonical(shared, &c1, &c2, &opts)
+            decide_canonical(shared, c1, &c2, &opts)
         }
         None => decide_canonical(shared, q1, q2, opts),
     };
@@ -902,7 +902,8 @@ mod tests {
         let tracer = Tracer::with_default_capacity();
         let mut opts = shared.base_opts.clone();
         opts.trace = TraceHandle::enabled(&tracer);
-        let out = decide_pair(shared, &q1, &q2, &opts, None).unwrap();
+        let mut reps = Representatives::default();
+        let out = decide_pair(shared, &mut reps, ("", &q1), &q2, &opts, None).unwrap();
         drop(opts);
         assert!(!out.is_exhausted());
         let stats = shared.snapshots.stats();

@@ -2,14 +2,15 @@
 //!
 //! The server's warm path: every decision about a `q1` the service has
 //! seen before reuses that query's [`ChaseSnapshot`] and pays only the
-//! homomorphism search. Entries are keyed by [`QueryKey::structural`]
-//! (renaming- and body-order-invariant, no core reduction) because a
-//! snapshot's depth is derived from the keyed query's literal size.
-//! Semantic unification — renamed, permuted *and* redundant-atom
-//! variants sharing one chase — comes from the server substituting
-//! [`flogic_core::canonical_query`] representatives before it reaches
-//! this cache (see `decide_pair`), so with canonicalization on, the
-//! structural key of the representative *is* the semantic key.
+//! homomorphism search. Entries are keyed by [`QueryKey::as_written`]
+//! (renaming-invariant, a linear read of the query as written, no core
+//! and no ordering search) because a snapshot's depth is derived from
+//! the keyed query's literal size. Semantic unification — renamed,
+//! permuted *and* redundant-atom variants sharing one chase — comes from
+//! the server substituting [`flogic_core::canonical_query`]
+//! representatives before it reaches this cache (see `decide_pair`), so
+//! with canonicalization on, the as-written key of the representative
+//! *is* the semantic key. The cache itself unifies only renamings.
 //!
 //! Residency is capped in **bytes**, not entries, using the same
 //! `approx_bytes` accounting the chase governor's
@@ -111,7 +112,7 @@ impl SnapshotCache {
         bound: u32,
         opts: &ContainmentOptions,
     ) -> Result<Arc<ChaseSnapshot>, CoreError> {
-        let key = QueryKey::structural(q1);
+        let key = QueryKey::as_written(q1);
         let now = self.tick.fetch_add(1, Ordering::Relaxed);
         {
             let mut inner = self.inner.lock().expect("snapshot cache poisoned");
@@ -188,7 +189,7 @@ impl SnapshotCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flogic_core::{theorem_bound, Budget};
+    use flogic_core::{canonical_query, theorem_bound, Budget};
     use flogic_syntax::parse_query;
 
     fn q(text: &str) -> ConjunctiveQuery {
@@ -203,14 +204,25 @@ mod tests {
         let a = cache.get_or_build(&q1, 8, &opts).unwrap();
         let b = cache.get_or_build(&q1, 8, &opts).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
-        // A renamed, reordered spelling of the same query also hits.
-        let q1b = q("r(A, C) :- sub(B, C), sub(A, B).");
+        // A renamed spelling of the same query also hits.
+        let q1b = q("r(A, C) :- sub(A, B), sub(B, C).");
         let c = cache.get_or_build(&q1b, 8, &opts).unwrap();
-        assert!(Arc::ptr_eq(&a, &c), "canonical key unifies spellings");
+        assert!(Arc::ptr_eq(&a, &c), "as-written key unifies renamings");
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (2, 1));
         assert_eq!(stats.resident_entries, 1);
         assert!(stats.resident_bytes > 0);
+        // A reordered spelling shares the chase once both spellings are
+        // replaced by their canonical representatives, as the server
+        // does; the cache itself keys as written.
+        let q1p = q("r(A, C) :- sub(B, C), sub(A, B).");
+        let rep = cache.get_or_build(&canonical_query(&q1), 8, &opts).unwrap();
+        let d = cache
+            .get_or_build(&canonical_query(&q1p), 8, &opts)
+            .unwrap();
+        assert!(Arc::ptr_eq(&rep, &d), "representatives share one snapshot");
+        let e = cache.get_or_build(&q1p, 8, &opts).unwrap();
+        assert!(!Arc::ptr_eq(&a, &e), "a permuted spelling keys apart");
     }
 
     #[test]

@@ -260,6 +260,40 @@ mod tests {
     }
 
     #[test]
+    fn a_flipped_verdict_byte_on_disk_is_never_served() {
+        let dir = tmp("flipped_verdict");
+        let q1 = q("q(X, Z) :- sub(X, Y), sub(Y, Z).");
+        let q2 = q("p(X, Z) :- sub(X, Z).");
+        let opts = ContainmentOptions::default();
+        {
+            let cache = DurableDecisionCache::open(&dir).unwrap();
+            assert!(cache.contains(&q1, &q2).unwrap().holds());
+            cache.flush().unwrap();
+        }
+        // The segment stores the entry as key bytes then value bytes; the
+        // value's second byte is the verdict (0 holds, 1 not holds).
+        let seg = dir.join("seg-000000000001.flqs");
+        let mut bytes = std::fs::read(&seg).unwrap();
+        let key = decision_key_bytes(&q1, &q2, &opts);
+        let at = bytes
+            .windows(key.len())
+            .position(|w| w == key.as_slice())
+            .expect("the decision is in the first segment")
+            + key.len()
+            + 1;
+        assert_eq!(bytes[at], 0, "stored verdict is holds");
+        bytes[at] ^= 1;
+        std::fs::write(&seg, &bytes).unwrap();
+
+        let cache = DurableDecisionCache::open(&dir).unwrap();
+        let again = cache.contains(&q1, &q2).unwrap();
+        assert!(again.holds(), "a corrupt segment served a wrong verdict");
+        assert_eq!(cache.durable_stats().disk_hits, 0);
+        assert_eq!(cache.store().unwrap().stats().quarantined, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn exhausted_verdicts_are_not_persisted() {
         let dir = tmp("exhausted");
         let cache = DurableDecisionCache::open(&dir).unwrap();

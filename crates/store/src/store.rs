@@ -47,10 +47,6 @@ pub struct StoreOptions {
     /// unflushed decision lost to a crash is recomputed, never wrong,
     /// so the store trades the last few records for put latency.
     pub sync_writes: bool,
-    /// Stream-verify every segment's data checksum at open (reads the
-    /// whole store). Off by default — open always verifies the cheap
-    /// metadata checksums; [`Store::verify`] covers data on demand.
-    pub verify_data_on_open: bool,
 }
 
 impl Default for StoreOptions {
@@ -59,7 +55,6 @@ impl Default for StoreOptions {
             flush_bytes: 4 * 1024 * 1024,
             compact_segments: 6,
             sync_writes: false,
-            verify_data_on_open: false,
         }
     }
 }
@@ -200,15 +195,15 @@ impl Store {
         }
 
         // 3. Open the live segments; quarantine anything that fails its
-        // metadata checks (or, when asked, its data checksum).
+        // metadata checks or its data checksum. Segment reads carry no
+        // per-entry checksum, so a flipped value byte that got past open
+        // would be served as a wrong verdict.
         let mut segs: Vec<Arc<Segment>> = Vec::with_capacity(man.segments.len());
         let mut dropped: Vec<String> = Vec::new();
         for entry in &man.segments {
             let path = dir.join(&entry.name);
             let opened = Segment::open(&path, entry.gen).and_then(|seg| {
-                if opts.verify_data_on_open {
-                    seg.verify()?;
-                }
+                seg.verify()?;
                 Ok(seg)
             });
             match opened {

@@ -11,7 +11,8 @@
 //! queries that are not classically equivalent.
 
 use flogic_lite::core::{
-    canonical_query, classic_contains, contains_with, ContainmentOptions, DecisionCache, QueryKey,
+    canonical_pair, canonical_query, classic_contains, contains_with, decision_key_bytes,
+    ContainmentOptions, DecisionCache, QueryKey,
 };
 use flogic_lite::gen::rng::SplitMix64;
 use flogic_lite::gen::{
@@ -167,16 +168,19 @@ fn query_key_is_invariant_under_the_three_mutators() {
         let renamed = rename_vars(&q, &mut rng(seed + 1));
         assert_eq!(key, QueryKey::of(&renamed), "seed {seed}: renaming");
         assert_eq!(
-            QueryKey::structural(&q),
-            QueryKey::structural(&renamed),
-            "seed {seed}: renaming must not disturb even the structural key"
+            QueryKey::as_written(&q),
+            QueryKey::as_written(&renamed),
+            "seed {seed}: renaming must not disturb even the as-written key"
         );
         let permuted = permute_body(&q, &mut rng(seed + 2));
         assert_eq!(key, QueryKey::of(&permuted), "seed {seed}: permutation");
+        // As written, a permutation is unified only through the
+        // representative: the key of `canonical_query(permuted)` is the
+        // class key.
         assert_eq!(
-            QueryKey::structural(&q),
-            QueryKey::structural(&permuted),
-            "seed {seed}: permutation must not disturb even the structural key"
+            QueryKey::as_written(&canonical_query(&permuted)),
+            key,
+            "seed {seed}: permutation must not disturb the representative's as-written key"
         );
         let padded = add_redundant_atoms(&q, 2, &mut rng(seed + 3));
         assert_eq!(key, QueryKey::of(&padded), "seed {seed}: redundant atoms");
@@ -232,7 +236,7 @@ fn distinct_cores_never_collide_on_a_thousand_pairs() {
 
 #[test]
 fn exhausted_and_truncated_runs_agree_across_canon_modes() {
-    // A truncating level bound forces the structural key path even with
+    // A truncating level bound forces the as-written key path even with
     // canon on; the verdicts must still agree with canon off.
     let q1 = q("q() :- mandatory(A, T), type(T, A, T).");
     let q2 = q("qq() :- data(T, A, V), member(V, T).");
@@ -258,5 +262,62 @@ fn exhausted_and_truncated_runs_agree_across_canon_modes() {
         .unwrap();
         assert_eq!(on.verdict(), off.verdict(), "bound {bound}");
         assert_eq!(on.holds(), off.holds(), "bound {bound}");
+    }
+}
+
+/// The persisted key format is pinned: canon-on keys must stay
+/// byte-identical to the ones earlier releases wrote, so an existing data
+/// dir stays warm without a `PERSIST_FORMAT_VERSION` bump.
+#[test]
+fn decision_key_bytes_are_pinned() {
+    let pinned = [
+        (
+            "q(X, Z) :- sub(X, Y), sub(Y, Z), sub(X, W), sub(W, Z).",
+            "p(A, C) :- sub(A, C).",
+            "01020000000200000000020100000002000000010200000002000000000202000000010200000002\
+             020000000201000000020000000200000000020100000001000000010200000002000000000201000000\
+             040000000101db828120e6f819",
+        ),
+        (
+            "q(O) :- member(O, c), mandatory(a, c), type(c, a, t).",
+            "p(O) :- data(O, a, V), member(V, T).",
+            "01010000000200000000030000000002000000020000000000010000006303030000000001000000\
+             630001000000610001000000740402000000000100000061000100000063010000000200000000020000\
+             000002000000020100000002020000000203000000020000000000010000006102010000000c00000001\
+             01db828120e6f819",
+        ),
+        (
+            "q() :- data(o, a, 1), data(o, a, 2), funct(a, o).",
+            "p() :- sub(X, Y), member(Y, X).",
+            "010000000003000000020300000000010000006f0001000000610001000000310203000000000100\
+             00006f000100000061000100000032050200000000010000006100010000006f00000000020000000002\
+             000000020000000002010000000102000000020100000002000000000c0000000101db828120e6f819",
+        ),
+    ];
+    for (s1, s2, hex) in pinned {
+        let bytes = decision_key_bytes(&q(s1), &q(s2), &ContainmentOptions::default());
+        let got: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(got, hex, "{s1} vs {s2}");
+    }
+}
+
+/// A canon-on key is the canon-off key of the canonical representatives:
+/// a server that substitutes representatives and keys them as written
+/// files its decisions exactly where a canon-on cache would.
+#[test]
+fn canon_on_key_is_the_as_written_key_of_the_representatives() {
+    let cfg = workload_cfg();
+    let gcfg = GeneralizeConfig::default();
+    let on = ContainmentOptions::default();
+    let off = canon_off();
+    for seed in 0..200u64 {
+        let q1 = mutate_variant(&random_query(&cfg, &mut rng(seed)), &mut rng(seed + 1));
+        let q2 = generalize(&q1, &gcfg, &mut rng(seed + 10_000));
+        let (c1, c2) = canonical_pair(&q1, &q2, &on).expect("exact default run");
+        assert_eq!(
+            decision_key_bytes(&q1, &q2, &on),
+            decision_key_bytes(&c1, &c2, &off),
+            "seed {seed}: {q1} vs {q2}"
+        );
     }
 }

@@ -422,3 +422,123 @@ fn persisted_decisions_never_panic_and_round_trip() {
     }
     assert!(accepted > 0, "some mutations stay decodable");
 }
+
+// ---------------------------------------------------------------------------
+// Store corruption: a damaged `MANIFEST`, WAL or segment file may cost a
+// recomputation, never a wrong verdict.
+// ---------------------------------------------------------------------------
+
+const STORE_CASES: u64 = 300;
+
+/// Decides about 50 pairs through a `DurableDecisionCache` (flushed to two
+/// segments, plus an unflushed WAL tail), then on each seeded case
+/// bit-flips, truncates or splices one of `MANIFEST`, `wal.flqw` or a
+/// `seg-*.flqs` in a fresh copy of that store and reopens it. Opening may
+/// fail; when it succeeds, every pair must come back exactly as a fresh
+/// computation decides it, whether it is a disk hit or a recomputation.
+#[test]
+fn corrupt_store_files_never_serve_a_wrong_verdict() {
+    use flogic_lite::core::{contains_with, ContainmentOptions, ContainmentResult};
+    use flogic_lite::store::DurableDecisionCache;
+    use std::path::{Path, PathBuf};
+
+    let fields = |d: &ContainmentResult| {
+        (
+            d.verdict(),
+            d.is_vacuous(),
+            d.chase_conjuncts(),
+            d.chase_outcome(),
+            d.level_bound(),
+            d.max_chase_level(),
+            d.decided_by_analysis(),
+        )
+    };
+    let opts = ContainmentOptions::default();
+    let gcfg = GeneralizeConfig::default();
+    let mut pairs: Vec<(ConjunctiveQuery, ConjunctiveQuery)> = Vec::new();
+    for seed in 0..25 {
+        let q1 = arb_small_query(seed);
+        let q2 = generalize(&q1, &gcfg, &mut SplitMix64::seed_from_u64(seed + 1_000));
+        pairs.push((q1.clone(), q2.clone()));
+        pairs.push((q2, q1));
+    }
+    let fresh: Vec<ContainmentResult> = pairs
+        .iter()
+        .map(|(q1, q2)| contains_with(q1, q2, &opts).unwrap())
+        .collect();
+    assert!(fresh.iter().any(|r| r.holds()) && fresh.iter().any(|r| !r.holds()));
+
+    let root = std::env::temp_dir().join(format!("flq_store_fuzz_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let pristine = root.join("pristine");
+    {
+        let cache = DurableDecisionCache::open(&pristine).unwrap();
+        for (i, (q1, q2)) in pairs.iter().enumerate() {
+            cache.contains_with(q1, q2, &opts).unwrap();
+            if i == 19 || i == 39 {
+                cache.flush().unwrap();
+            }
+        }
+        // Dropped without a final flush: the last pairs live in the WAL.
+    }
+    let files: Vec<PathBuf> = std::fs::read_dir(&pristine)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    let name = |p: &Path| p.file_name().unwrap().to_str().unwrap().to_string();
+    assert_eq!(
+        files.iter().filter(|p| name(p).starts_with("seg-")).count(),
+        2
+    );
+    assert!(files.iter().any(|p| name(p) == "MANIFEST"));
+    assert!(files.iter().any(|p| name(p) == "wal.flqw"));
+
+    let mut r = SplitMix64::seed_from_u64(0x5354_4F52);
+    let (mut opened, mut disk_hits) = (0u64, 0u64);
+    for case in 0..STORE_CASES {
+        let work = root.join(format!("case{case}"));
+        std::fs::create_dir_all(&work).unwrap();
+        for f in &files {
+            std::fs::copy(f, work.join(name(f))).unwrap();
+        }
+        let victim = work.join(name(&files[r.random_range(0..files.len())]));
+        let mut bytes = std::fs::read(&victim).unwrap();
+        let what = r.random_range(0..3);
+        match what {
+            0 if !bytes.is_empty() => {
+                let at = r.random_range(0..bytes.len());
+                bytes[at] ^= 1 << r.random_range(0..8);
+            }
+            1 => bytes.truncate(r.random_range(0..bytes.len() + 1)),
+            _ => {
+                // Overwrite a range with bytes taken from any store file.
+                let donor = std::fs::read(&files[r.random_range(0..files.len())]).unwrap();
+                let from = r.random_range(0..donor.len());
+                let len = r.random_range(1..65).min(donor.len() - from);
+                let at = r.random_range(0..bytes.len() + 1);
+                let end = (at + len).min(bytes.len());
+                bytes.splice(at..end, donor[from..from + len].iter().copied());
+            }
+        }
+        std::fs::write(&victim, &bytes).unwrap();
+
+        if let Ok(cache) = DurableDecisionCache::open(&work) {
+            opened += 1;
+            for (i, (q1, q2)) in pairs.iter().enumerate() {
+                let got = cache
+                    .contains_with_compute(q1, q2, &opts, || Ok(fresh[i].clone()))
+                    .unwrap();
+                assert_eq!(
+                    fields(&got),
+                    fields(&fresh[i]),
+                    "case {case} ({what} on {}): pair {i} {q1} vs {q2}",
+                    name(&victim)
+                );
+            }
+            disk_hits += cache.durable_stats().disk_hits;
+        }
+        let _ = std::fs::remove_dir_all(&work);
+    }
+    let _ = std::fs::remove_dir_all(&root);
+    assert!(opened > 0 && disk_hits > 0, "the loop exercised disk hits");
+}

@@ -201,17 +201,37 @@ fn data_corruption_is_caught_by_verify() {
         name = store.segment_rows()[0].0.clone();
         assert!(store.verify().unwrap().is_clean());
     }
-    // Flip a byte in the data region: open-time metadata checks pass,
-    // the full verify scan must not.
+    // Flip a byte in the data region of the open store's segment (bit
+    // rot under a running store): the metadata still checks out, the
+    // full verify scan must not.
     let path = dir.join(&name);
-    let mut bytes = std::fs::read(&path).unwrap();
-    bytes[40] ^= 0xFF;
-    std::fs::write(&path, &bytes).unwrap();
+    let flip = |path: &std::path::Path| {
+        use std::os::unix::fs::FileExt;
+        let file = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(path)
+            .unwrap();
+        let mut byte = [0u8; 1];
+        file.read_exact_at(&mut byte, 40).unwrap();
+        file.write_all_at(&[byte[0] ^ 0xFF], 40).unwrap();
+    };
+    {
+        let store = Store::open(&dir, StoreOptions::default()).unwrap();
+        flip(&path);
+        assert_eq!(store.stats().segments, 1, "metadata still checks out");
+        let report = store.verify().unwrap();
+        assert!(!report.is_clean(), "data CRC mismatch must be reported");
+        assert!(report.problems[0].contains(&name), "{:?}", report.problems);
+    }
+    // The next open checks the data checksum too, and quarantines the
+    // segment instead of serving its entries.
     let store = Store::open(&dir, StoreOptions::default()).unwrap();
-    assert_eq!(store.stats().segments, 1, "metadata still checks out");
-    let report = store.verify().unwrap();
-    assert!(!report.is_clean(), "data CRC mismatch must be reported");
-    assert!(report.problems[0].contains(&name), "{:?}", report.problems);
+    assert_eq!(store.stats().segments, 0, "corrupt data is not served");
+    assert_eq!(store.stats().quarantined, 1);
+    assert!(dir.join(format!("{name}.quarantined")).exists());
+    assert!(store.verify().unwrap().is_clean());
+    assert!((0..30).all(|i| store.get(&k(i)).unwrap().is_none()));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
