@@ -4,11 +4,8 @@
 //!   cargo run -p flogic-bench --bin harness --release              # all experiments
 //!   cargo run -p flogic-bench --bin harness --release -- e3 e5     # a subset
 //!   cargo run -p flogic-bench --bin harness --release -- --quick   # smaller workloads
-//!   cargo run -p flogic-bench --bin harness --release -- --threads 8 e9
 //!
-//! `--threads N` sets the worker count for the experiments that exercise
-//! the parallel chase engine (`0` = all available cores); `--quick` shrinks
-//! the workloads. Any other flag is an error. Tables are printed to stdout
+//! `--quick` shrinks the workloads; any other flag is an error. Tables are printed to stdout
 //! and exported as CSV under `bench_results/`; each experiment is followed
 //! by the engine metrics it accumulated (chase and hom wall-clock, cache
 //! hits/misses, and the static-analysis fast-path counters, which are also
@@ -29,7 +26,7 @@ fn out_dir() -> PathBuf {
     PathBuf::from("bench_results")
 }
 
-fn run(id: &str, quick: bool, threads: usize) -> Option<ExperimentOutput> {
+fn run(id: &str, quick: bool) -> Option<ExperimentOutput> {
     let out = match id {
         "e1" => experiments::e1(),
         "e2" => experiments::e2(),
@@ -47,9 +44,9 @@ fn run(id: &str, quick: bool, threads: usize) -> Option<ExperimentOutput> {
         "e8" => experiments::e8(if quick { 5 } else { 15 }),
         "e9" => {
             if quick {
-                experiments::e9(3, 4, threads)
+                experiments::e9(3, 4)
             } else {
-                experiments::e9(5, 8, threads)
+                experiments::e9(5, 8)
             }
         }
         "e10" => {
@@ -109,21 +106,12 @@ fn run(id: &str, quick: bool, threads: usize) -> Option<ExperimentOutput> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut quick = false;
-    let mut threads = 0usize; // 0 = all available cores
     let mut ids: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    for a in &args {
         match a.as_str() {
             "--quick" => quick = true,
-            "--threads" => {
-                let Some(n) = it.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("--threads requires a number (0 = all cores)");
-                    std::process::exit(2);
-                };
-                threads = n;
-            }
             s if s.starts_with("--") => {
-                eprintln!("unknown flag `{s}` (expected --quick or --threads N)");
+                eprintln!("unknown flag `{s}` (expected --quick)");
                 std::process::exit(2);
             }
             _ => ids.push(a.to_lowercase()),
@@ -149,7 +137,7 @@ fn main() {
     );
     for id in &ids {
         let before = Metrics::global().snapshot();
-        let Some(output) = run(id, quick, threads) else {
+        let Some(output) = run(id, quick) else {
             eprintln!("unknown experiment `{id}` (expected e1..e16)");
             std::process::exit(2);
         };

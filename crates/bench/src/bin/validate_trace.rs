@@ -7,9 +7,9 @@
 //! promises:
 //!
 //! * every line is a well-formed flat JSON event object;
-//! * within each worker, sequence numbers are strictly increasing (the
-//!   per-worker rings are single-writer, so a snapshot lists each
-//!   worker's events in emission order);
+//! * sequence numbers are strictly increasing over the whole file (the
+//!   tracer's ring is single-writer, so a snapshot lists the events in
+//!   emission order);
 //! * every `rule_fired` names a `Σ_FL` rule in `rho1..rho12`;
 //! * when a `bound` event is present, the observed chase depth (the
 //!   maximum level any event mentions) stays within the Theorem 12 bound
@@ -18,7 +18,6 @@
 //! An empty file is a valid (empty) trace. Exit codes: `0` all files
 //! valid, `1` any violation, `2` usage error.
 
-use std::collections::HashMap;
 use std::process::ExitCode;
 
 use flogic_obs::{export, ChaseEvent, Recorded};
@@ -37,19 +36,13 @@ fn event_level(event: &ChaseEvent) -> Option<u64> {
 /// Validates one parsed trace; returns a list of violations.
 fn validate(events: &[Recorded]) -> Vec<String> {
     let mut problems = Vec::new();
-    let mut last_seq: HashMap<u32, u64> = HashMap::new();
+    let mut last_seq: Option<u64> = None;
     let mut observed_depth: u64 = 0;
     let mut theorem_bound: Option<u64> = None;
     for (i, rec) in events.iter().enumerate() {
-        if let Some(prev) = last_seq.insert(rec.worker, rec.seq) {
+        if let Some(prev) = last_seq.replace(rec.seq) {
             if rec.seq <= prev {
-                problems.push(format!(
-                    "event {}: worker {} seq {} not after {}",
-                    i + 1,
-                    rec.worker,
-                    rec.seq,
-                    prev
-                ));
+                problems.push(format!("event {}: seq {} not after {prev}", i + 1, rec.seq));
             }
         }
         if let Some(level) = event_level(&rec.event) {
@@ -98,12 +91,7 @@ fn main() -> ExitCode {
         };
         let problems = validate(&events);
         if problems.is_empty() {
-            let workers: std::collections::HashSet<u32> = events.iter().map(|r| r.worker).collect();
-            println!(
-                "{path}: ok — {} events from {} worker(s)",
-                events.len(),
-                workers.len()
-            );
+            println!("{path}: ok — {} events", events.len());
         } else {
             for p in &problems {
                 eprintln!("{path}: {p}");

@@ -743,20 +743,19 @@ pub fn e8(reps: usize) -> ExperimentOutput {
 }
 
 // ---------------------------------------------------------------------------
-// E9 — repeated-query batches: decision cache, shared chase, parallel chase.
+// E9 — repeated-query batches: decision cache and shared chase.
 // ---------------------------------------------------------------------------
 
 /// E9: the same containment workload decided four ways — one `contains_with`
 /// call per pair, `contains_batch` (one shared chase of `q1`), and a
-/// [`DecisionCache`] in both single-pair and batch mode — plus the parallel
-/// chase engine at several thread counts.
+/// [`DecisionCache`] in both single-pair and batch mode.
 ///
 /// The workload repeats each distinct `q2` several times under fresh
 /// variable names, the shape a query optimiser produces when it re-asks the
 /// same containment question for syntactically distinct rewrites. The cache
 /// canonicalizes the renames away, so only the first occurrence pays for a
 /// chase + hom search.
-pub fn e9(distinct: usize, repeats: usize, threads: usize) -> ExperimentOutput {
+pub fn e9(distinct: usize, repeats: usize) -> ExperimentOutput {
     let q1 = cyclic_query(2);
     let copts = ContainmentOptions {
         level_bound: None,
@@ -831,7 +830,7 @@ pub fn e9(distinct: usize, repeats: usize, threads: usize) -> ExperimentOutput {
     let n = q2s.len();
     let speedup = |t: Duration| format!("{:.2}x", t_singles.as_secs_f64() / t.as_secs_f64());
     let mut t = Table::new(
-        "E9a: repeated-query batch — same verdicts, shared work (expected: speedup > 1 for cache)",
+        "E9: repeated-query batch — same verdicts, shared work (expected: speedup > 1 for cache)",
         &[
             "strategy",
             "decisions",
@@ -881,61 +880,11 @@ pub fn e9(distinct: usize, repeats: usize, threads: usize) -> ExperimentOutput {
         cache_batch_delta.cache_misses.to_string(),
     ]);
 
-    // Parallel chase: Example 2's infinite chase, cut at a fixed level, is
-    // re-run at several thread counts; the results must be identical.
-    let example2 =
-        parse_query("q() :- mandatory(A, T), type(T, A, T), sub(T, U).").expect("Example 2 parses");
-    let chase_at = |workers: usize| {
-        chase_bounded(
-            &example2,
-            &ChaseOptions {
-                level_bound: 11,
-                max_conjuncts: 500_000,
-                threads: workers,
-                ..Default::default()
-            },
-        )
-        .expect("no worker failure expected")
-    };
-    let baseline = chase_at(1);
-    let mut pt = Table::new(
-        "E9b: parallel chase of Example 2 (level bound 11; expected: identical = true)",
-        &[
-            "threads",
-            "conjuncts",
-            "max level",
-            "time_ms",
-            "identical to threads=1",
-        ],
-    );
-    let mut thread_counts = vec![1usize, 2, 4];
-    if threads > 0 && !thread_counts.contains(&threads) {
-        thread_counts.push(threads);
-    }
-    for workers in thread_counts {
-        let chase = chase_at(workers);
-        let dt = time_median(3, || chase_at(workers).len());
-        let identical = chase.len() == baseline.len()
-            && chase.max_level() == baseline.max_level()
-            && chase.outcome() == baseline.outcome()
-            && chase.stats() == baseline.stats();
-        pt.push(vec![
-            workers.to_string(),
-            chase.len().to_string(),
-            chase.max_level().to_string(),
-            format!("{:.2}", dt.as_secs_f64() * 1e3),
-            identical.to_string(),
-        ]);
-    }
-
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     ExperimentOutput {
-        tables: vec![t, pt],
+        tables: vec![t],
         notes: vec![format!(
             "E9 workload: {distinct} distinct probes x {repeats} renamed repeats = {n} decisions \
-             against one q1 (mandatory cycle of length 2). Host reports {cores} core(s): \
-             with a single core the parallel engine can only demonstrate determinism, \
-             not speedup."
+             against one q1 (mandatory cycle of length 2)."
         )],
         files: vec![],
     }

@@ -15,7 +15,7 @@
 //! | E6 | Σ_FL yields strictly more containments than classical CQ reasoning |
 //! | E7 | the Theorem 12 level bound vs the level actually needed |
 //! | E8 | `chase⁻` stays polynomial (Theorem 13, step 1) |
-//! | E9 | repeated-query batches: decision cache, shared chase, parallel chase |
+//! | E9 | repeated-query batches: decision cache, shared chase |
 //! | E10 | tracer overhead A/B (disabled handle vs enabled) + exported chase profiles |
 //! | E11 | `flqd` serving economics: cold vs warm latency, batch throughput by worker count |
 //! | E12 | transport shapes over warm decisions: close vs keep-alive vs pipelined clients |

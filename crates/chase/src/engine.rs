@@ -29,13 +29,6 @@ pub struct ChaseOptions {
     /// Safety cap on the number of conjuncts; exceeded ⇒
     /// [`ChaseOutcome::Exhausted`] with [`ExhaustReason::Conjuncts`].
     pub max_conjuncts: usize,
-    /// Worker threads for discovering applicable rule instances in each
-    /// frontier batch. `1` (the default) runs fully sequentially; `0`
-    /// means "use the machine's available parallelism". The chase result
-    /// is bit-identical for every setting: discovery is a pure read of a
-    /// frozen snapshot, and applications are merged back in frontier
-    /// order regardless of which worker found them.
-    pub threads: usize,
     /// Resource budget (deadline, step/byte caps, cancellation). The
     /// default is unlimited.
     pub budget: Budget,
@@ -60,7 +53,6 @@ impl Default for ChaseOptions {
         ChaseOptions {
             level_bound: u32::MAX,
             max_conjuncts: 1_000_000,
-            threads: 1,
             budget: Budget::default(),
             trace: TraceHandle::Disabled,
             sigma: RuleSet::sigma_fl().clone(),
@@ -658,8 +650,7 @@ impl Chase {
         // numeric id order — NOT by iterating the `canon` map, whose order
         // is randomized per `HashMap` instance. Index list order drives
         // match enumeration order, so it must be a pure function of the
-        // chase history for runs to be reproducible (and for the parallel
-        // and sequential engines to agree bit for bit).
+        // chase history for runs to be reproducible bit for bit.
         for i in 0..self.nodes.len() as u32 {
             let id = ConjunctId(i);
             if !self.is_live(id) {
@@ -835,86 +826,15 @@ impl Chase {
         }
     }
 
-    /// Discovers the applicable rule instances for a whole frontier batch,
-    /// fanning the per-conjunct searches out over `threads` scoped workers.
-    ///
-    /// Discovery is a *pure read* of the chase (the state is frozen for
-    /// the duration of the batch), so the workers need no synchronisation.
-    /// Each worker takes a contiguous chunk of the frontier and the chunk
-    /// results are concatenated in frontier order, so the returned
-    /// candidate sequence is a pure function of the chase state — the
-    /// thread count affects wall-clock time only, never the result.
-    /// A worker panic is caught at the join and surfaced as
-    /// [`ChaseError::WorkerFailed`] instead of unwinding through the
-    /// scope: one poisoned query pair must not abort the process (or a
-    /// whole `contains_batch`). Every handle is joined before returning,
-    /// so no worker outlives the call even on failure.
-    fn discover(
-        &self,
-        tgds: &[&Tgd],
-        frontier: &[ConjunctId],
-        threads: usize,
-        trace: &TraceHandle,
-    ) -> Result<Vec<Candidate>, ChaseError> {
-        let threads = threads.min(frontier.len());
-        if threads <= 1 {
-            let mut out = Vec::new();
-            for &id in frontier {
-                self.collect_candidates(tgds, id, &mut out);
-            }
-            return Ok(out);
+    /// Discovers the applicable rule instances for a whole frontier batch:
+    /// a pure read of the chase state, in frontier order, so the returned
+    /// candidate sequence is a function of that state alone.
+    fn discover(&self, tgds: &[&Tgd], frontier: &[ConjunctId]) -> Vec<Candidate> {
+        let mut out = Vec::new();
+        for &id in frontier {
+            self.collect_candidates(tgds, id, &mut out);
         }
-        let chunk_size = frontier.len().div_ceil(threads);
-        // Read on the calling thread, so only runs started by a test that
-        // set the switch on its own thread see it.
-        #[cfg(test)]
-        let inject_panic = INJECT_WORKER_PANIC.with(std::cell::Cell::get);
-        let mut per_chunk: Vec<Vec<Candidate>> = Vec::with_capacity(threads);
-        let mut failure: Option<ChaseError> = None;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = frontier
-                .chunks(chunk_size)
-                .enumerate()
-                .map(|(i, chunk)| {
-                    // Worker slot i+1: slot 0 is the coordinating thread.
-                    // Handles are derived before spawning so ring creation
-                    // happens in deterministic chunk order.
-                    let worker_trace = trace.worker((i + 1) as u32);
-                    scope.spawn(move || {
-                        #[cfg(test)]
-                        if inject_panic {
-                            panic!("injected discovery worker panic");
-                        }
-                        let mut out = Vec::new();
-                        for &id in chunk {
-                            self.collect_candidates(tgds, id, &mut out);
-                        }
-                        worker_trace.emit(|| ChaseEvent::DiscoveryChunk {
-                            conjuncts: chunk.len() as u64,
-                            candidates: out.len() as u64,
-                        });
-                        out
-                    })
-                })
-                .collect();
-            // Joining in spawn order is the deterministic merge step. Keep
-            // joining after a failure so the scope exits with every worker
-            // accounted for (an unjoined panicked handle would re-panic).
-            for h in handles {
-                match h.join() {
-                    Ok(chunk) => per_chunk.push(chunk),
-                    Err(payload) => {
-                        failure.get_or_insert(ChaseError::WorkerFailed {
-                            detail: panic_detail(payload.as_ref()),
-                        });
-                    }
-                }
-            }
-        });
-        match failure {
-            Some(err) => Err(err),
-            None => Ok(per_chunk.into_iter().flatten().collect()),
-        }
+        out
     }
 
     /// Runs the chase with the given rules until fixpoint (up to the level
@@ -923,26 +843,19 @@ impl Chase {
     ///
     /// The loop is *frontier-batched* (semi-naive): each round discovers
     /// the rule instances pinned on the conjuncts of the current frontier
-    /// against a frozen snapshot — in parallel when
-    /// [`ChaseOptions::threads`] asks for it — and then applies them
-    /// sequentially in frontier order. Conjuncts created by a round form
-    /// the next frontier. Every new match involves at least one conjunct
-    /// that did not exist when the previous snapshot was taken, and that
-    /// conjunct is pinned in a later round, so no application is ever
-    /// missed; a ρ4 merge resets the frontier to every live conjunct, as
-    /// merges can enable matches among old conjuncts.
-    /// Returns `Err` only for a true engine failure (a panicked discovery
-    /// worker); budget exhaustion is *not* an error — it ends the run
-    /// early with [`ChaseOutcome::Exhausted`] and the partial chase
-    /// intact. The governor is observed at frontier-round boundaries plus
-    /// every [`CHECK_EVERY`] candidates inside a round; the step cap is
-    /// checked per candidate because it is the deterministic limit.
-    fn run(&mut self, tgds: &[&Tgd], opts: &ChaseOptions) -> Result<(), ChaseError> {
-        let threads = if opts.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            opts.threads
-        };
+    /// against a frozen snapshot, and then applies them in frontier order.
+    /// Conjuncts created by a round form the next frontier. Every new match
+    /// involves at least one conjunct that did not exist when the previous
+    /// snapshot was taken, and that conjunct is pinned in a later round, so
+    /// no application is ever missed; a ρ4 merge resets the frontier to
+    /// every live conjunct, as merges can enable matches among old
+    /// conjuncts.
+    /// Budget exhaustion ends the run early with
+    /// [`ChaseOutcome::Exhausted`] and the partial chase intact. The
+    /// governor is observed at frontier-round boundaries plus every
+    /// [`CHECK_EVERY`] candidates inside a round; the step cap is checked
+    /// per candidate because it is the deterministic limit.
+    fn run(&mut self, tgds: &[&Tgd], opts: &ChaseOptions) {
         // Keep the conjunct cap below the `u32` id space so `insert` can
         // never run out of ids before the cap fires.
         let max_conjuncts = opts.max_conjuncts.min(u32::MAX as usize - 1);
@@ -954,7 +867,7 @@ impl Chase {
         match self.drain_egds(trace) {
             Err((l, r)) => {
                 self.outcome = ChaseOutcome::Failed { left: l, right: r };
-                return Ok(());
+                return;
             }
             Ok(true) => {
                 frontier = self.live_ids();
@@ -967,7 +880,7 @@ impl Chase {
             if governed {
                 if let Some(reason) = self.governor_checkpoint(&opts.budget) {
                     self.exhaust(reason, trace);
-                    return Ok(());
+                    return;
                 }
             }
             // Frontier snapshot event. Guarded: `max_level` is an O(n)
@@ -983,7 +896,7 @@ impl Chase {
                 });
             }
             round = round.saturating_add(1);
-            let candidates = self.discover(tgds, &frontier, threads, trace)?;
+            let candidates = self.discover(tgds, &frontier);
 
             let mut next: Vec<ConjunctId> = Vec::new();
             let mut added_any = false;
@@ -992,13 +905,13 @@ impl Chase {
                 if let Some(max_steps) = opts.budget.max_steps {
                     if self.stats.steps > max_steps {
                         self.exhaust(ExhaustReason::Steps, trace);
-                        return Ok(());
+                        return;
                     }
                 }
                 if governed && self.stats.steps % CHECK_EVERY == 0 {
                     if let Some(reason) = self.governor_checkpoint(&opts.budget) {
                         self.exhaust(reason, trace);
-                        return Ok(());
+                        return;
                     }
                 }
                 // Re-validate against conjuncts added earlier in this
@@ -1035,13 +948,13 @@ impl Chase {
                         }
                         if self.nodes.len() >= max_conjuncts {
                             self.exhaust(ExhaustReason::Conjuncts, trace);
-                            return Ok(());
+                            return;
                         }
                         let Some((nid, new)) =
                             self.insert(head, new_level, Some(cand.rule), parents.clone())
                         else {
                             self.exhaust(ExhaustReason::Conjuncts, trace);
-                            return Ok(());
+                            return;
                         };
                         debug_assert!(new);
                         self.stats.record_application(cand.rule);
@@ -1077,7 +990,7 @@ impl Chase {
                         }
                         if self.nodes.len() >= max_conjuncts {
                             self.exhaust(ExhaustReason::Conjuncts, trace);
-                            return Ok(());
+                            return;
                         }
                         let fresh_null = self.nulls.fresh();
                         let fresh = Term::Null(fresh_null);
@@ -1093,7 +1006,7 @@ impl Chase {
                             self.insert(head, new_level, Some(cand.rule), parents.clone())
                         else {
                             self.exhaust(ExhaustReason::Conjuncts, trace);
-                            return Ok(());
+                            return;
                         };
                         debug_assert!(new);
                         self.stats.record_application(cand.rule);
@@ -1116,7 +1029,7 @@ impl Chase {
                 match self.drain_egds(trace) {
                     Err((l, r)) => {
                         self.outcome = ChaseOutcome::Failed { left: l, right: r };
-                        return Ok(());
+                        return;
                     }
                     Ok(true) => {
                         // Merges may enable matches among old conjuncts:
@@ -1134,7 +1047,6 @@ impl Chase {
         } else {
             ChaseOutcome::Completed
         };
-        Ok(())
     }
 
     fn live_ids(&self) -> Vec<ConjunctId> {
@@ -1173,26 +1085,6 @@ fn find(uf: &HashMap<Term, Term>, t: Term) -> Term {
     find_depth(uf, t).0
 }
 
-#[cfg(test)]
-thread_local! {
-    /// Test-only switch that makes every discovery worker spawned by a
-    /// run on this thread panic, so the join-error path is exercisable
-    /// without a genuinely buggy rule. Thread-local, so a test that sets
-    /// it never affects runs started by tests on other threads.
-    static INJECT_WORKER_PANIC: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// Renders a worker's panic payload for [`ChaseError::WorkerFailed`].
-fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 fn sigma_tgds(include_rho5: bool) -> Vec<&'static Tgd> {
     sigma_fl()
         .iter()
@@ -1220,20 +1112,17 @@ fn sigma_tgds(include_rho5: bool) -> Vec<&'static Tgd> {
 pub fn chase_minus(q: &ConjunctiveQuery) -> Chase {
     match chase_minus_with(q, &ChaseOptions::default()) {
         Ok(chase) => chase,
-        // Default options run sequentially (threads = 1): no discovery
-        // worker is ever spawned, so WorkerFailed cannot occur.
-        Err(e) => unreachable!("sequential chase⁻ cannot fail: {e}"),
+        Err(e) => match e {},
     }
 }
 
 /// [`chase_minus`] with explicit options. The level bound is ignored —
 /// `chase⁻` terminates on its own and all of its conjuncts are at level 0
-/// by convention — but the conjunct cap, thread count, and budget are
-/// honoured.
+/// by convention — but the conjunct cap and budget are honoured.
 ///
-/// `Err` means a discovery worker panicked ([`ChaseError::WorkerFailed`]);
-/// budget exhaustion is reported through [`ChaseOutcome::Exhausted`] on
-/// the returned (partial) chase instead.
+/// Never returns `Err` ([`ChaseError`] is uninhabited); budget exhaustion
+/// is reported through [`ChaseOutcome::Exhausted`] on the returned
+/// (partial) chase.
 pub fn chase_minus_with(q: &ConjunctiveQuery, opts: &ChaseOptions) -> Result<Chase, ChaseError> {
     Metrics::global().time_chase(|| {
         let mut chase = Chase::new(q);
@@ -1253,7 +1142,7 @@ pub fn chase_minus_with(q: &ConjunctiveQuery, opts: &ChaseOptions) -> Result<Cha
             opts.sigma.datalog_tgds()
         };
         let _span = opts.trace.span(SpanKind::ChaseMinus);
-        chase.run(&tgds, &run_opts)?;
+        chase.run(&tgds, &run_opts);
         chase.reset_levels();
         Ok(chase)
     })
@@ -1267,8 +1156,8 @@ pub fn chase_minus_with(q: &ConjunctiveQuery, opts: &ChaseOptions) -> Result<Cha
 /// Theorem 12 proves sufficient for containment checking.
 ///
 /// Both phases observe the same [`ChaseOptions::budget`] (step counts and
-/// the conjunct cap accumulate across them). `Err` means a discovery
-/// worker panicked; exhaustion ends the run early with
+/// the conjunct cap accumulate across them). Never returns `Err`
+/// ([`ChaseError`] is uninhabited); exhaustion ends the run early with
 /// [`ChaseOutcome::Exhausted`] and the partial chase intact.
 pub fn chase_bounded(q: &ConjunctiveQuery, opts: &ChaseOptions) -> Result<Chase, ChaseError> {
     Metrics::global().time_chase(|| {
@@ -1289,7 +1178,7 @@ pub fn chase_bounded(q: &ConjunctiveQuery, opts: &ChaseOptions) -> Result<Chase,
         };
         {
             let _span = opts.trace.span(SpanKind::ChaseMinus);
-            chase.run(&prelim_tgds, &prelim)?;
+            chase.run(&prelim_tgds, &prelim);
         }
         if chase.is_failed() || chase.is_exhausted() {
             return Ok(chase);
@@ -1303,7 +1192,7 @@ pub fn chase_bounded(q: &ConjunctiveQuery, opts: &ChaseOptions) -> Result<Chase,
             opts.sigma.tgds()
         };
         let _span = opts.trace.span(SpanKind::ChaseBounded);
-        chase.run(&all_tgds, opts)?;
+        chase.run(&all_tgds, opts);
         Ok(chase)
     })
 }
@@ -1528,31 +1417,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_panic_is_caught_as_worker_failed() {
-        // The injection flag makes every spawned discovery worker panic;
-        // the sequential path spawns none, so only threaded runs fail.
-        let q = parse_query("q(X) :- member(X, c1), sub(c1, c2), sub(c2, c3).").unwrap();
-        INJECT_WORKER_PANIC.with(|flag| flag.set(true));
-        let threaded = chase_minus_with(
-            &q,
-            &ChaseOptions {
-                threads: 2,
-                ..Default::default()
-            },
-        );
-        let sequential = chase_minus_with(&q, &ChaseOptions::default());
-        INJECT_WORKER_PANIC.with(|flag| flag.set(false));
-        match threaded {
-            Err(ChaseError::WorkerFailed { detail }) => {
-                assert!(detail.contains("injected"), "{detail}");
-            }
-            other => panic!("expected WorkerFailed, got {other:?}"),
-        }
-        // The process survived, and the sequential engine is unaffected.
-        assert_eq!(sequential.unwrap().outcome(), ChaseOutcome::Completed);
-    }
-
-    #[test]
     fn pre_cancelled_token_stops_before_round_one() {
         let q = parse_query("q() :- mandatory(A, T), type(T, A, T).").unwrap();
         let budget = Budget::default();
@@ -1598,33 +1462,29 @@ mod tests {
     }
 
     #[test]
-    fn step_budget_is_deterministic_across_thread_counts() {
+    fn step_budget_is_deterministic_run_to_run() {
         let q = parse_query("q() :- mandatory(A, T), type(T, A, T), sub(T, U).").unwrap();
-        let run = |threads: usize| {
+        let run = || {
             chase_bounded(
                 &q,
                 &ChaseOptions {
-                    threads,
                     budget: Budget::unlimited().steps(200),
                     ..Default::default()
                 },
             )
             .unwrap()
         };
-        let a = run(1);
+        let (a, b) = (run(), run());
         assert_eq!(
             a.outcome(),
             ChaseOutcome::Exhausted {
                 reason: ExhaustReason::Steps
             }
         );
-        for threads in [2, 4] {
-            let b = run(threads);
-            assert_eq!(a.outcome(), b.outcome());
-            assert_eq!(a.len(), b.len(), "threads={threads}");
-            assert_eq!(a.stats(), b.stats(), "threads={threads}");
-            assert_eq!(a.max_level(), b.max_level(), "threads={threads}");
-        }
+        assert_eq!(a.outcome(), b.outcome());
+        assert_eq!(a.len(), b.len());
+        assert_eq!(a.stats(), b.stats());
+        assert_eq!(a.max_level(), b.max_level());
     }
 
     #[test]

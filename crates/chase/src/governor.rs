@@ -5,7 +5,7 @@
 //! the budget at frontier-round boundaries (and at deterministic per-candidate
 //! counts for the step budget). Checks only ever *read* state — they never
 //! reorder rule applications — so a run that finishes without exhausting its
-//! budget is bit-identical to an ungoverned run, for every thread count.
+//! budget is bit-identical to an ungoverned run.
 //! A run that does exhaust its budget ends with
 //! [`ChaseOutcome::Exhausted`](crate::ChaseOutcome::Exhausted) and keeps the
 //! partial chase (conjuncts, levels, stats) for the caller to inspect.
@@ -51,7 +51,7 @@ pub struct Budget {
     pub deadline: Option<Instant>,
     /// Cap on resolution steps (candidate rule instances examined). Unlike
     /// the deadline this is a deterministic, count-based limit: the same
-    /// budget exhausts at the same point for every thread count.
+    /// budget exhausts at the same point on every run.
     pub max_steps: Option<u64>,
     /// Approximate cap on bytes materialized by the chase graph.
     pub max_bytes: Option<usize>,
@@ -131,29 +131,21 @@ impl fmt::Display for ExhaustReason {
     }
 }
 
-/// A true error from the chase engine — as opposed to budget exhaustion,
-/// which is an *outcome* ([`ChaseOutcome::Exhausted`]) carrying the partial
-/// chase.
+/// The chase engine's error type. It has no variants: every chase run
+/// returns a (possibly partial) chase, and budget exhaustion is an
+/// *outcome* ([`ChaseOutcome::Exhausted`]), not an error. It keeps the
+/// `Result` signatures of [`chase_bounded`] and [`chase_minus_with`] stable;
+/// callers discharge it with `Err(e) => match e {}`.
 ///
 /// [`ChaseOutcome::Exhausted`]: crate::ChaseOutcome::Exhausted
+/// [`chase_bounded`]: crate::chase_bounded
+/// [`chase_minus_with`]: crate::chase_minus_with
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ChaseError {
-    /// A parallel discovery worker panicked. The panic is caught at the
-    /// join, so one poisoned query pair cannot abort the whole process
-    /// (or a whole `contains_batch`).
-    WorkerFailed {
-        /// The worker's panic payload, when it was a string.
-        detail: String,
-    },
-}
+pub enum ChaseError {}
 
 impl fmt::Display for ChaseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ChaseError::WorkerFailed { detail } => {
-                write!(f, "chase discovery worker failed: {detail}")
-            }
-        }
+    fn fmt(&self, _: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {}
     }
 }
 
@@ -197,7 +189,7 @@ mod tests {
     }
 
     #[test]
-    fn reasons_and_errors_display() {
+    fn reasons_display() {
         for (r, s) in [
             (ExhaustReason::Conjuncts, "conjunct cap"),
             (ExhaustReason::Deadline, "deadline"),
@@ -207,9 +199,5 @@ mod tests {
         ] {
             assert_eq!(r.to_string(), s);
         }
-        let e = ChaseError::WorkerFailed {
-            detail: "boom".into(),
-        };
-        assert!(e.to_string().contains("boom"));
     }
 }

@@ -39,8 +39,9 @@
 //! across bounds.
 //!
 //! Cache hits/misses and canonicalization passes are reported to the
-//! process-global [`flogic_term::Metrics`] (`flq_canon_*` counters),
-//! which `flq --metrics` and the benchmark harness print.
+//! process-global [`flogic_term::Metrics`], which `flq --metrics` and the
+//! benchmark harness print and flqd exposes as
+//! `flqd_canon_{keys,reduced,nanoseconds}_total`.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -233,7 +234,8 @@ impl CanonSearch<'_> {
 /// whole decision stack on them.
 ///
 /// The pass is recorded on the process-global [`Metrics`]
-/// (`flq_canon_keys`, `flq_canon_reduced`, `flq_canon_nanos`).
+/// (exposed by flqd as `flqd_canon_keys_total`,
+/// `flqd_canon_reduced_total` and `flqd_canon_nanoseconds_total`).
 ///
 /// ```
 /// use flogic_core::canonical_query;
@@ -355,7 +357,7 @@ impl QueryKey {
     /// The semantic key of `q`: the as-written key of its
     /// [`canonical_query`] representative. Invariant under renaming, body
     /// permutation, and redundant-atom insertion. Records the pass on
-    /// the global `flq_canon_*` metrics.
+    /// the global canon metrics (`flqd_canon_*_total`).
     pub fn of(q: &ConjunctiveQuery) -> QueryKey {
         QueryKey::as_written(&canonical_query(q))
     }
@@ -408,9 +410,9 @@ impl QueryKey {
 /// (`decided_by_analysis`, zero chase conjuncts) — replaying one mode's
 /// entry for the other would misreport how the decision was made.
 ///
-/// `max_conjuncts`, `threads` and the budget are deliberately *not* in
-/// the key: they never change a decided verdict (exhausted results are
-/// never cached, so a tight budget cannot poison later generous calls).
+/// `max_conjuncts` and the budget are deliberately *not* in the key: they
+/// never change a decided verdict (exhausted results are never cached, so
+/// a tight budget cannot poison later generous calls).
 ///
 /// The active rule set *is* in the key, by its canonical (renaming- and
 /// name-invariant) fingerprint: verdicts under different Σ are answers to

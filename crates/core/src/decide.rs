@@ -23,7 +23,6 @@ use crate::CoreError;
 /// let q1 = parse_query("q(X, Z) :- sub(X, Y), sub(Y, Z).").unwrap();
 /// let q2 = parse_query("p(X, Z) :- sub(X, Z).").unwrap();
 /// let opts = ContainmentOptions {
-///     threads: 2,
 ///     analysis: false,
 ///     budget: Budget::unlimited().steps(100_000),
 ///     ..Default::default()
@@ -43,11 +42,6 @@ pub struct ContainmentOptions {
     pub level_bound: Option<u32>,
     /// Safety cap on materialized chase conjuncts.
     pub max_conjuncts: usize,
-    /// Worker threads for chase rule discovery (see
-    /// [`ChaseOptions::threads`]): `1` is fully sequential, `0` uses the
-    /// machine's available parallelism. The decision is identical for
-    /// every setting.
-    pub threads: usize,
     /// Consult the static analyzer (`flogic-analysis`) before chasing:
     /// sound early `false` when `q2` needs a predicate unreachable from
     /// `q1`'s chase frontier, sound early `true` when `q1` carries a
@@ -94,13 +88,28 @@ impl Default for ContainmentOptions {
         ContainmentOptions {
             level_bound: None,
             max_conjuncts: 1_000_000,
-            threads: 1,
             analysis: true,
             budget: Budget::default(),
             trace: TraceHandle::Disabled,
             sigma: RuleSet::sigma_fl().clone(),
             canon: true,
         }
+    }
+}
+
+/// The bounded chase of `q1` up to level `bound`, under the conjunct cap,
+/// budget, trace sink and rule set of `opts`.
+pub(crate) fn chase_to(q1: &ConjunctiveQuery, bound: u32, opts: &ContainmentOptions) -> Chase {
+    let chase_opts = ChaseOptions {
+        level_bound: bound,
+        max_conjuncts: opts.max_conjuncts,
+        budget: opts.budget.clone(),
+        trace: opts.trace.clone(),
+        sigma: opts.sigma.clone(),
+    };
+    match chase_bounded(q1, &chase_opts) {
+        Ok(chase) => chase,
+        Err(e) => match e {},
     }
 }
 
@@ -295,17 +304,7 @@ pub fn contains_with(
         }
         Metrics::global().record_analysis_chased();
     }
-    let chase = chase_bounded(
-        q1,
-        &ChaseOptions {
-            level_bound: bound,
-            max_conjuncts: opts.max_conjuncts,
-            threads: opts.threads,
-            budget: opts.budget.clone(),
-            trace: opts.trace.clone(),
-            sigma: opts.sigma.clone(),
-        },
-    )?;
+    let chase = chase_to(q1, bound, opts);
     match chase.outcome() {
         ChaseOutcome::Failed { .. } => {
             // q1 is unsatisfiable under Σ_FL: q1(B) = ∅ for every admissible
@@ -493,25 +492,7 @@ pub fn contains_batch(
     let analysis = opts
         .analysis
         .then(|| QueryAnalysis::for_rules(q1, &opts.sigma));
-    let chase = match chase_bounded(
-        q1,
-        &ChaseOptions {
-            level_bound: bound,
-            max_conjuncts: opts.max_conjuncts,
-            threads: opts.threads,
-            budget: opts.budget.clone(),
-            trace: opts.trace.clone(),
-            sigma: opts.sigma.clone(),
-        },
-    ) {
-        Ok(chase) => chase,
-        // A worker panic poisons only this batch call, not the process;
-        // every slot reports the same error.
-        Err(e) => {
-            let err = CoreError::from(e);
-            return q2s.iter().map(|_| Err(err.clone())).collect();
-        }
-    };
+    let chase = chase_to(q1, bound, opts);
     let failed = chase.is_failed();
     let exhausted = match chase.outcome() {
         ChaseOutcome::Exhausted { reason } => Some(reason),

@@ -34,12 +34,6 @@ pub enum DecideError {
         /// Deepest chase level completed when the run stopped.
         levels: u32,
     },
-    /// A parallel chase discovery worker panicked; the panic was caught at
-    /// the join so the process (and the rest of a batch) survives.
-    WorkerFailed {
-        /// The worker's panic payload, when it was a string.
-        detail: String,
-    },
     /// A query failed to parse (only from the string-level API).
     Syntax(String),
 }
@@ -65,25 +59,12 @@ impl fmt::Display for DecideError {
                      before reaching the Theorem 12 bound; raise the budget"
                 )
             }
-            DecideError::WorkerFailed { detail } => {
-                write!(f, "chase discovery worker failed: {detail}")
-            }
             DecideError::Syntax(e) => write!(f, "syntax error: {e}"),
         }
     }
 }
 
 impl std::error::Error for DecideError {}
-
-impl From<flogic_chase::ChaseError> for DecideError {
-    fn from(e: flogic_chase::ChaseError) -> DecideError {
-        match e {
-            flogic_chase::ChaseError::WorkerFailed { detail } => {
-                DecideError::WorkerFailed { detail }
-            }
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -101,16 +82,5 @@ mod tests {
         };
         assert!(e.to_string().contains('9'));
         assert!(e.to_string().contains("deadline"));
-        assert!(DecideError::WorkerFailed {
-            detail: "boom".into()
-        }
-        .to_string()
-        .contains("boom"));
-    }
-
-    #[test]
-    fn chase_error_converts() {
-        let e: DecideError = flogic_chase::ChaseError::WorkerFailed { detail: "x".into() }.into();
-        assert_eq!(e, DecideError::WorkerFailed { detail: "x".into() });
     }
 }

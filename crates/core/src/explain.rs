@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use flogic_chase::{chase_bounded, Chase, ChaseOptions, ChaseOutcome, ConjunctId};
+use flogic_chase::{Chase, ChaseOutcome, ConjunctId};
 use flogic_hom::{find_hom, Target};
 use flogic_model::{Atom, ConjunctiveQuery, RuleId};
 
@@ -137,17 +137,7 @@ pub fn explain(
         });
     }
     let bound = crate::decide::sigma_bound(opts, q1.size(), q2.size());
-    let chase = chase_bounded(
-        q1,
-        &ChaseOptions {
-            level_bound: bound,
-            max_conjuncts: opts.max_conjuncts,
-            threads: opts.threads,
-            budget: opts.budget.clone(),
-            trace: opts.trace.clone(),
-            sigma: opts.sigma.clone(),
-        },
-    )?;
+    let chase = crate::decide::chase_to(q1, bound, opts);
     match chase.outcome() {
         ChaseOutcome::Failed { .. } => return Ok(Explanation::Vacuous),
         ChaseOutcome::Exhausted { reason } => {

@@ -48,14 +48,15 @@ pub fn contains_naive(
         });
     }
     for level in 0..=max_level {
-        let chase = chase_bounded(
-            q1,
-            &ChaseOptions {
-                level_bound: level,
-                max_conjuncts,
-                ..Default::default()
-            },
-        )?;
+        let opts = ChaseOptions {
+            level_bound: level,
+            max_conjuncts,
+            ..Default::default()
+        };
+        let chase = match chase_bounded(q1, &opts) {
+            Ok(chase) => chase,
+            Err(e) => match e {},
+        };
         match chase.outcome() {
             ChaseOutcome::Failed { .. } => return Ok(NaiveOutcome::Holds { level }),
             ChaseOutcome::Exhausted { reason } => {

@@ -20,7 +20,7 @@
 //! a fresh decision when it does not, so it is *always* safe to call.
 
 use flogic_analysis::{direct_unsat, QueryAnalysis};
-use flogic_chase::{chase_bounded, Chase, ChaseOptions, ChaseOutcome};
+use flogic_chase::{Chase, ChaseOutcome};
 use flogic_hom::{find_hom_traced, Target};
 use flogic_model::ConjunctiveQuery;
 use flogic_term::{Metrics, Term};
@@ -66,12 +66,11 @@ impl ChaseSnapshot {
     /// hom-search index and the static-analysis summary.
     ///
     /// `opts.level_bound` is ignored (the explicit `bound` wins);
-    /// `opts.max_conjuncts`, `opts.threads`, `opts.budget` and
-    /// `opts.trace` govern the build exactly as they govern
-    /// [`contains_with`]. `opts.trace` observes the build but is not
-    /// retained: the snapshot holds no reference to the tracer, so a
-    /// snapshot kept resident after its request never keeps that
-    /// request's trace rings alive.
+    /// `opts.max_conjuncts`, `opts.budget` and `opts.trace` govern the
+    /// build exactly as they govern [`contains_with`]. `opts.trace`
+    /// observes the build but is not retained: the snapshot holds no
+    /// reference to the tracer, so a snapshot kept resident after its
+    /// request never keeps that request's trace ring alive.
     ///
     /// A build stopped by the budget still returns a snapshot —
     /// [`is_exhausted`](ChaseSnapshot::is_exhausted) is then true and
@@ -83,17 +82,7 @@ impl ChaseSnapshot {
         bound: u32,
         opts: &ContainmentOptions,
     ) -> Result<ChaseSnapshot, CoreError> {
-        let chase = chase_bounded(
-            q1,
-            &ChaseOptions {
-                level_bound: bound,
-                max_conjuncts: opts.max_conjuncts,
-                threads: opts.threads,
-                budget: opts.budget.clone(),
-                trace: opts.trace.clone(),
-                sigma: opts.sigma.clone(),
-            },
-        )?;
+        let chase = crate::decide::chase_to(q1, bound, opts);
         let target = if chase.is_failed() || chase.is_exhausted() {
             Target::default()
         } else {

@@ -13,7 +13,7 @@
 //! * `Q ⊆_ΣFL q` iff **every** disjunct is contained in `q` (union is the
 //!   least upper bound).
 
-use flogic_chase::{chase_bounded, ChaseOptions, ChaseOutcome};
+use flogic_chase::ChaseOutcome;
 use flogic_hom::{find_hom, Target};
 use flogic_model::ConjunctiveQuery;
 
@@ -46,17 +46,7 @@ pub fn contained_in_union(
         .map(|q2| crate::decide::sigma_bound(opts, q.size(), q2.size()))
         .max()
         .unwrap_or(0);
-    let chase = chase_bounded(
-        q,
-        &ChaseOptions {
-            level_bound: bound,
-            max_conjuncts: opts.max_conjuncts,
-            threads: opts.threads,
-            budget: opts.budget.clone(),
-            trace: opts.trace.clone(),
-            sigma: opts.sigma.clone(),
-        },
-    )?;
+    let chase = crate::decide::chase_to(q, bound, opts);
     match chase.outcome() {
         ChaseOutcome::Failed { .. } => {
             // Vacuous: q is unsatisfiable, hence contained in any non-empty

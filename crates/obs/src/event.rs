@@ -1,7 +1,7 @@
 //! The typed event vocabulary and its fixed-width binary encoding.
 //!
 //! Every event encodes into exactly [`RECORD_WORDS`](crate::RECORD_WORDS)
-//! `u64` words (tag + three payload words) so the per-worker ring buffers
+//! `u64` words (tag + three payload words) so the tracer's ring buffer
 //! can store them in place without allocation. Encoding and decoding are
 //! exact inverses for every constructible event (see the round-trip test).
 
@@ -156,13 +156,6 @@ pub enum ChaseEvent {
         /// The Theorem 12 bound `2·|q1|·|q2|`.
         theorem_bound: u64,
     },
-    /// A parallel discovery worker finished one frontier chunk.
-    DiscoveryChunk {
-        /// Conjuncts in the chunk.
-        conjuncts: u64,
-        /// Applicable rule instances the chunk produced.
-        candidates: u64,
-    },
 }
 
 /// Event tags of the binary encoding (word 0 of a record).
@@ -179,7 +172,6 @@ mod tag {
     pub const SPAN_START: u64 = 9;
     pub const SPAN_END: u64 = 10;
     pub const BOUND: u64 = 11;
-    pub const DISCOVERY_CHUNK: u64 = 12;
 }
 
 /// Packs two `u32`s into one word (`lo` in the low half).
@@ -222,10 +214,6 @@ impl ChaseEvent {
                 level_bound,
                 theorem_bound,
             } => [tag::BOUND, level_bound, theorem_bound, 0],
-            ChaseEvent::DiscoveryChunk {
-                conjuncts,
-                candidates,
-            } => [tag::DISCOVERY_CHUNK, conjuncts, candidates, 0],
         }
     }
 
@@ -278,10 +266,6 @@ impl ChaseEvent {
                 level_bound: words[1],
                 theorem_bound: words[2],
             },
-            tag::DISCOVERY_CHUNK => ChaseEvent::DiscoveryChunk {
-                conjuncts: words[1],
-                candidates: words[2],
-            },
             _ => return None,
         };
         Some(ev)
@@ -302,21 +286,17 @@ impl ChaseEvent {
             ChaseEvent::SpanStart { .. } => "span_start",
             ChaseEvent::SpanEnd { .. } => "span_end",
             ChaseEvent::Bound { .. } => "bound",
-            ChaseEvent::DiscoveryChunk { .. } => "discovery_chunk",
         }
     }
 }
 
-/// An event as it came out of a tracer snapshot: which worker recorded it
-/// and its per-worker sequence number. Snapshots are ordered by
-/// `(worker, seq)`, which is a pure function of what each worker appended —
-/// never of scheduling.
+/// An event as it came out of a tracer snapshot, with its sequence
+/// number. Snapshots are ordered by `seq`, which is a pure function of
+/// what the run appended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Recorded {
-    /// The recording worker's slot (0 is the coordinating thread).
-    pub worker: u32,
-    /// Per-worker append sequence number (monotone, gap-free unless the
-    /// ring dropped old events).
+    /// Append sequence number (monotone, gap-free unless the ring
+    /// dropped old events).
     pub seq: u64,
     /// The event.
     pub event: ChaseEvent,
@@ -356,10 +336,6 @@ mod tests {
             ChaseEvent::Bound {
                 level_bound: 9,
                 theorem_bound: 24,
-            },
-            ChaseEvent::DiscoveryChunk {
-                conjuncts: 8,
-                candidates: 31,
             },
         ]
     }

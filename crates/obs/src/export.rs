@@ -6,7 +6,7 @@
 //! unsigned-integer / boolean values — e.g.
 //!
 //! ```text
-//! {"worker":0,"seq":3,"type":"rule_fired","rule":5,"level":1}
+//! {"seq":3,"type":"rule_fired","rule":5,"level":1}
 //! ```
 //!
 //! `rule` fields are exported 1-based (`5 ↦ ρ5`) to match the paper's
@@ -27,8 +27,7 @@ pub fn event_to_json(rec: &Recorded) -> String {
     let mut s = String::with_capacity(96);
     let _ = write!(
         s,
-        "{{\"worker\":{},\"seq\":{},\"type\":\"{}\"",
-        rec.worker,
+        "{{\"seq\":{},\"type\":\"{}\"",
         rec.seq,
         rec.event.type_name()
     );
@@ -79,19 +78,13 @@ pub fn event_to_json(rec: &Recorded) -> String {
                 ",\"level_bound\":{level_bound},\"theorem_bound\":{theorem_bound}"
             );
         }
-        ChaseEvent::DiscoveryChunk {
-            conjuncts,
-            candidates,
-        } => {
-            let _ = write!(s, ",\"conjuncts\":{conjuncts},\"candidates\":{candidates}");
-        }
     }
     s.push('}');
     s
 }
 
 /// Writes a snapshot as JSONL, one event per line, in the snapshot's
-/// deterministic `(worker, seq)` order. An empty snapshot writes nothing.
+/// `seq` order. An empty snapshot writes nothing.
 pub fn write_jsonl<W: Write>(mut out: W, snapshot: &TraceSnapshot) -> io::Result<()> {
     for rec in &snapshot.events {
         out.write_all(event_to_json(rec).as_bytes())?;
@@ -234,10 +227,10 @@ fn span_field(fields: &[(String, Scalar)]) -> Result<SpanKind, String> {
     SpanKind::from_name(name).ok_or_else(|| format!("unknown span kind {name:?}"))
 }
 
-/// Parses one exported JSONL line back into a [`Recorded`] event.
+/// Parses one exported JSONL line back into a [`Recorded`] event. Keys
+/// the event type does not use are ignored.
 pub fn parse_event_line(line: &str) -> Result<Recorded, String> {
     let fields = parse_flat_object(line)?;
-    let worker = u32_field(&fields, "worker")?;
     let seq = int_field(&fields, "seq")?;
     let ty = str_field(&fields, "type")?;
     let event = match ty {
@@ -292,13 +285,9 @@ pub fn parse_event_line(line: &str) -> Result<Recorded, String> {
             level_bound: int_field(&fields, "level_bound")?,
             theorem_bound: int_field(&fields, "theorem_bound")?,
         },
-        "discovery_chunk" => ChaseEvent::DiscoveryChunk {
-            conjuncts: int_field(&fields, "conjuncts")?,
-            candidates: int_field(&fields, "candidates")?,
-        },
         other => return Err(format!("unknown event type {other:?}")),
     };
-    Ok(Recorded { worker, seq, event })
+    Ok(Recorded { seq, event })
 }
 
 /// Parses a whole JSONL document (blank lines skipped). Errors carry the
@@ -349,10 +338,6 @@ mod tests {
                 level_bound: 4,
                 theorem_bound: 16,
             },
-            ChaseEvent::DiscoveryChunk {
-                conjuncts: 6,
-                candidates: 11,
-            },
         ]
     }
 
@@ -362,7 +347,6 @@ mod tests {
             .into_iter()
             .enumerate()
             .map(|(i, event)| Recorded {
-                worker: (i % 3) as u32,
                 seq: i as u64,
                 event,
             })
@@ -381,12 +365,27 @@ mod tests {
     #[test]
     fn rule_indices_export_one_based() {
         let rec = Recorded {
-            worker: 0,
             seq: 0,
             event: ChaseEvent::RuleFired { rule: 4, level: 0 },
         };
         let line = event_to_json(&rec);
         assert!(line.contains("\"rule\":5"), "rho5 exports as 5: {line}");
+    }
+
+    #[test]
+    fn lines_with_an_extra_worker_key_still_parse() {
+        // Traces written before the tracer had a single ring carry a
+        // `worker` key; the reader ignores it.
+        let rec =
+            parse_event_line("{\"worker\":0,\"seq\":7,\"type\":\"cache_lookup\",\"hit\":true}")
+                .unwrap();
+        assert_eq!(
+            rec,
+            Recorded {
+                seq: 7,
+                event: ChaseEvent::CacheLookup { hit: true },
+            }
+        );
     }
 
     #[test]
@@ -407,17 +406,16 @@ mod tests {
 
     #[test]
     fn parser_rejects_malformed_lines_with_line_numbers() {
-        let bad =
-            "{\"worker\":0,\"seq\":0,\"type\":\"rule_fired\",\"rule\":5,\"level\":1}\nnot json\n";
+        let bad = "{\"seq\":0,\"type\":\"rule_fired\",\"rule\":5,\"level\":1}\nnot json\n";
         let err = parse_jsonl(bad).unwrap_err();
         assert!(err.starts_with("line 2:"), "{err}");
 
         for bad_line in [
-            "{\"worker\":0}",                                // missing fields
-            "{\"worker\":0,\"seq\":0,\"type\":\"mystery\"}", // unknown type
-            "{\"worker\":0,\"seq\":0,\"type\":\"rule_fired\",\"rule\":13,\"level\":0}", // rule range
-            "{\"worker\":-1,\"seq\":0,\"type\":\"cache_lookup\",\"hit\":true}", // negative int
-            "{\"worker\":0,\"seq\":0,\"type\":\"cache_lookup\",\"hit\":true} extra", // garbage
+            "{\"seq\":0}",                                                 // missing fields
+            "{\"seq\":0,\"type\":\"mystery\"}",                            // unknown type
+            "{\"seq\":0,\"type\":\"rule_fired\",\"rule\":13,\"level\":0}", // rule range
+            "{\"seq\":-1,\"type\":\"cache_lookup\",\"hit\":true}",         // negative int
+            "{\"seq\":0,\"type\":\"cache_lookup\",\"hit\":true} extra",    // garbage
         ] {
             assert!(parse_event_line(bad_line).is_err(), "{bad_line}");
         }
@@ -428,12 +426,10 @@ mod tests {
         let snapshot = TraceSnapshot {
             events: vec![
                 Recorded {
-                    worker: 0,
                     seq: 0,
                     event: ChaseEvent::RuleFired { rule: 0, level: 1 },
                 },
                 Recorded {
-                    worker: 0,
                     seq: 1,
                     event: ChaseEvent::NullInvented { null: 1, level: 2 },
                 },

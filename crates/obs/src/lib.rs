@@ -1,4 +1,4 @@
-//! Structured chase tracing: typed events, per-worker ring buffers, and
+//! Structured chase tracing: typed events, a bounded ring buffer, and
 //! profile rollups.
 //!
 //! The paper's central quantitative claim is the *bounded* chase:
@@ -13,10 +13,9 @@
 //!   invented-null level, per-round frontier/atom counts, governor stops,
 //!   homomorphism-search node expansions/backtracks/prunes, and
 //!   containment-cache lookups, plus span start/end pairs for phase timing;
-//! * [`Tracer`] / [`TraceHandle`] — a thread-aware sink: each worker
-//!   appends to its own bounded [`Ring`] without locks (single-writer
-//!   discipline), and a snapshot merges the per-worker buffers in
-//!   deterministic `(worker, seq)` order;
+//! * [`Tracer`] / [`TraceHandle`] — the sink: the traced run appends to
+//!   one bounded [`Ring`] without locks (single-writer discipline), and a
+//!   snapshot decodes it in `seq` order;
 //! * [`ChaseProfile`] — the rollup: per-rule firing histogram, per-level
 //!   growth curve, observed chase depth vs. the Theorem 12 bound, and
 //!   per-phase timing;
@@ -34,8 +33,8 @@
 //!
 //! **Determinism contract.** Recording only *observes*: no instrumentation
 //! site influences rule matching, application order, or verdicts. Enabling
-//! tracing at any thread count leaves chase results bit-identical (this is
-//! enforced by `tests/parallel_determinism.rs` in the workspace root).
+//! tracing leaves chase results bit-identical (this is enforced by
+//! `tests/chase_determinism.rs` in the workspace root).
 //!
 //! This crate is dependency-free (std only) so that every other crate in
 //! the workspace can sit on top of it.

@@ -65,13 +65,11 @@ pub struct ChaseProfile {
     pub cache_misses: u64,
     /// Governor interventions.
     pub governor_stops: u64,
-    /// Parallel discovery chunks processed.
-    pub discovery_chunks: u64,
     /// Total span nanoseconds per [`SpanKind`], dense-indexed.
     pub span_nanos: [u64; SPAN_KIND_COUNT],
     /// Completed spans per [`SpanKind`], dense-indexed.
     pub span_counts: [u64; SPAN_KIND_COUNT],
-    /// Events the rings overwrote (profile may undercount if nonzero).
+    /// Events the ring overwrote (profile may undercount if nonzero).
     pub dropped: u64,
 }
 
@@ -153,7 +151,6 @@ impl ChaseProfile {
                     p.level_bound = level_bound;
                     p.theorem_bound = theorem_bound;
                 }
-                ChaseEvent::DiscoveryChunk { .. } => p.discovery_chunks += 1,
             }
         }
         p.level_growth = levels
@@ -221,7 +218,6 @@ impl ChaseProfile {
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.governor_stops += other.governor_stops;
-        self.discovery_chunks += other.discovery_chunks;
         for (a, b) in self.span_nanos.iter_mut().zip(other.span_nanos) {
             *a = a.saturating_add(b);
         }
@@ -307,9 +303,6 @@ impl fmt::Display for ChaseProfile {
         if self.governor_stops > 0 {
             writeln!(f, "governor stops: {}", self.governor_stops)?;
         }
-        if self.discovery_chunks > 0 {
-            writeln!(f, "parallel discovery chunks: {}", self.discovery_chunks)?;
-        }
         match self.depth_ratio() {
             Some(ratio) => writeln!(
                 f,
@@ -339,11 +332,7 @@ mod tests {
     use crate::event::Recorded;
 
     fn rec(event: ChaseEvent) -> Recorded {
-        Recorded {
-            worker: 0,
-            seq: 0,
-            event,
-        }
+        Recorded { seq: 0, event }
     }
 
     fn sample_snapshot() -> TraceSnapshot {

@@ -1,8 +1,9 @@
 //! A bounded, single-writer ring buffer of fixed-width event records.
 //!
-//! Each chase worker owns one [`Ring`] and is the only thread that ever
-//! appends to it (single-writer discipline, enforced by the tracer handing
-//! each worker its own ring). Appends are lock-free: plain relaxed stores
+//! A [`Tracer`](crate::Tracer) owns one [`Ring`], and the run it traces
+//! is the only writer (single-writer discipline: the chase engine, the
+//! hom search and the decision procedure all record from the calling
+//! thread). Appends are lock-free: plain relaxed stores
 //! of the payload words followed by a `Release` publish of the head
 //! counter; readers `Acquire` the head and then read the payload words.
 //!
@@ -24,9 +25,9 @@
 //! initializes a chunk before the `Release` store of the head that covers
 //! it, so a reader that `Acquire`s the head sees every chunk it needs. A
 //! reader that snapshots *while* the writer is mid-append could observe a
-//! torn record; in this workspace snapshots are only taken after workers
-//! are joined (quiescent), and even a torn read is merely a garbage word —
-//! never undefined behavior.
+//! torn record; in this workspace snapshots are only taken after the
+//! traced run returned (quiescent), and even a torn read is merely a
+//! garbage word — never undefined behavior.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;

@@ -1,12 +1,7 @@
-//! The thread-aware tracer and the zero-cost handle threaded through the
-//! runtime.
+//! The tracer and the zero-cost handle threaded through the runtime.
 //!
-//! A [`Tracer`] owns one [`Ring`] per worker slot. The coordinating thread
-//! records under worker 0; each parallel discovery worker gets its own
-//! slot via [`TraceHandle::worker`]. Rings are created lazily under a
-//! mutex (worker counts aren't known up front), but *appending* is
-//! lock-free: an enabled handle caches the `Arc<Ring>` it writes to.
-//! A ring's capacity only bounds it: record storage grows in chunks as
+//! A [`Tracer`] owns one [`Ring`], which the traced run appends to
+//! without taking a lock. The ring's capacity only bounds it: record storage grows in chunks as
 //! events arrive, so a tracer costs about what it records.
 //!
 //! A tracer belongs to the run that records into it, not to that run's
@@ -19,36 +14,30 @@
 //! the payload closure is never called and no clock is read, which is the
 //! crate's zero-cost contract.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::event::{ChaseEvent, Recorded, SpanKind};
 use crate::ring::Ring;
 
-/// Default per-worker ring capacity in records: a cap, not an
-/// allocation. Rings allocate storage in chunks of
-/// [`CHUNK_RECORDS`](crate::CHUNK_RECORDS) records as events arrive, so a
-/// run that records a few events holds one 8 KiB chunk, and only a run
-/// that fills the ring reaches the cap's 1 MiB of payload per worker
-/// (32 bytes/record) — ample for every workload in the bench suite while
-/// still bounding memory on runaway chases.
+/// Default ring capacity in records: a cap, not an allocation. The ring
+/// allocates storage in chunks of [`CHUNK_RECORDS`](crate::CHUNK_RECORDS)
+/// records as events arrive, so a run that records a few events holds one
+/// 8 KiB chunk, and only a run that fills the ring reaches the cap's 1 MiB
+/// of payload (32 bytes/record) — ample for every workload in the bench
+/// suite while still bounding memory on runaway chases.
 pub const DEFAULT_RING_CAPACITY: usize = 32_768;
 
-/// The shared event sink: one bounded ring per worker slot.
+/// The shared event sink: one bounded ring.
 pub struct Tracer {
-    /// Per-worker rings, indexed by worker id; grown lazily.
-    rings: Mutex<Vec<Arc<Ring>>>,
-    /// Capacity of each per-worker ring, fixed at construction.
-    ring_capacity: usize,
+    ring: Ring,
 }
 
 impl Tracer {
-    /// Creates a tracer whose per-worker rings hold `ring_capacity`
-    /// records each.
+    /// Creates a tracer whose ring holds up to `ring_capacity` records.
     pub fn new(ring_capacity: usize) -> Arc<Tracer> {
         Arc::new(Tracer {
-            rings: Mutex::new(Vec::new()),
-            ring_capacity: ring_capacity.max(1),
+            ring: Ring::new(ring_capacity),
         })
     }
 
@@ -57,58 +46,39 @@ impl Tracer {
         Tracer::new(DEFAULT_RING_CAPACITY)
     }
 
-    /// Returns worker `id`'s ring, creating any missing slots up to `id`.
-    fn ring(&self, id: u32) -> Arc<Ring> {
-        let mut rings = self.rings.lock().expect("tracer ring registry poisoned");
-        let idx = id as usize;
-        while rings.len() <= idx {
-            rings.push(Arc::new(Ring::new(self.ring_capacity)));
-        }
-        Arc::clone(&rings[idx])
-    }
-
-    /// Merges all per-worker rings into one deterministic event sequence,
-    /// ordered by `(worker, seq)`. Call when writers are quiescent (e.g.
-    /// after worker threads are joined).
+    /// Decodes the ring into one event sequence in `seq` order. Call when
+    /// the writer is quiescent (e.g. after the traced run returned).
     pub fn snapshot(self: &Arc<Tracer>) -> TraceSnapshot {
-        let rings = self.rings.lock().expect("tracer ring registry poisoned");
-        let mut events = Vec::new();
-        let mut dropped = 0u64;
-        for (worker, ring) in rings.iter().enumerate() {
-            dropped = dropped.saturating_add(ring.dropped());
-            for (seq, record) in ring.snapshot() {
-                // Torn or foreign records decode to None and are skipped.
-                if let Some(event) = ChaseEvent::decode(&record) {
-                    events.push(Recorded {
-                        worker: worker as u32,
-                        seq,
-                        event,
-                    });
-                }
-            }
+        let events = self
+            .ring
+            .snapshot()
+            .into_iter()
+            // Torn or foreign records decode to None and are skipped.
+            .filter_map(|(seq, record)| {
+                ChaseEvent::decode(&record).map(|event| Recorded { seq, event })
+            })
+            .collect();
+        TraceSnapshot {
+            events,
+            dropped: self.ring.dropped(),
         }
-        // Rings were visited in worker order and each ring yields seqs
-        // ascending, so `events` is already (worker, seq)-sorted.
-        TraceSnapshot { events, dropped }
     }
 }
 
 impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let workers = self.rings.lock().map(|r| r.len()).unwrap_or(0);
         f.debug_struct("Tracer")
-            .field("workers", &workers)
-            .field("ring_capacity", &self.ring_capacity)
+            .field("ring_capacity", &self.ring.capacity())
             .finish()
     }
 }
 
-/// A merged, deterministic view of everything the tracer recorded.
+/// A deterministic view of everything the tracer recorded.
 #[derive(Clone, Debug)]
 pub struct TraceSnapshot {
-    /// All decoded events in `(worker, seq)` order.
+    /// All decoded events in `seq` order.
     pub events: Vec<Recorded>,
-    /// Total records overwritten across all rings (newest were kept).
+    /// Records overwritten in the ring (newest were kept).
     pub dropped: u64,
 }
 
@@ -129,24 +99,18 @@ pub enum TraceHandle {
     /// Tracing off: `emit` never evaluates its payload closure.
     #[default]
     Disabled,
-    /// Tracing on: events append to `ring` (this handle's worker slot).
+    /// Tracing on: events append to the tracer's ring.
     Enabled {
-        /// The shared tracer (for snapshots and sibling worker handles).
+        /// The shared tracer (for snapshots).
         tracer: Arc<Tracer>,
-        /// This handle's cached ring — appends take no lock.
-        ring: Arc<Ring>,
-        /// This handle's worker slot (0 = coordinating thread).
-        worker: u32,
     },
 }
 
 impl TraceHandle {
-    /// An enabled handle recording under worker 0 of `tracer`.
+    /// An enabled handle recording into `tracer`.
     pub fn enabled(tracer: &Arc<Tracer>) -> TraceHandle {
         TraceHandle::Enabled {
-            ring: tracer.ring(0),
             tracer: Arc::clone(tracer),
-            worker: 0,
         }
     }
 
@@ -160,22 +124,8 @@ impl TraceHandle {
     /// `f`, when disabled.
     #[inline]
     pub fn emit(&self, f: impl FnOnce() -> ChaseEvent) {
-        if let TraceHandle::Enabled { ring, .. } = self {
-            ring.append(f().encode());
-        }
-    }
-
-    /// A handle recording under worker slot `id` of the same tracer.
-    /// Disabled handles return disabled handles, so call sites never
-    /// branch.
-    pub fn worker(&self, id: u32) -> TraceHandle {
-        match self {
-            TraceHandle::Disabled => TraceHandle::Disabled,
-            TraceHandle::Enabled { tracer, .. } => TraceHandle::Enabled {
-                ring: tracer.ring(id),
-                tracer: Arc::clone(tracer),
-                worker: id,
-            },
+        if let TraceHandle::Enabled { tracer } = self {
+            tracer.ring.append(f().encode());
         }
     }
 
@@ -237,61 +187,29 @@ mod tests {
         let handle = TraceHandle::default();
         assert!(!handle.is_enabled());
         handle.emit(|| unreachable!("payload closure must not run when disabled"));
-        // Worker derivation stays disabled, and spans record nothing.
-        let w = handle.worker(3);
-        assert!(!w.is_enabled());
-        drop(w.span(SpanKind::Decide));
+        // Spans on a disabled handle record nothing either.
+        drop(handle.span(SpanKind::Decide));
     }
 
     #[test]
-    fn events_record_under_the_right_worker() {
+    fn events_record_in_append_order() {
         let tracer = Tracer::new(16);
         let handle = TraceHandle::enabled(&tracer);
         handle.emit(|| ChaseEvent::CacheLookup { hit: true });
-        let w2 = handle.worker(2);
-        w2.emit(|| ChaseEvent::HomPrune { depth: 1 });
+        // A clone shares the ring and its seq stream.
+        handle.clone().emit(|| ChaseEvent::HomPrune { depth: 1 });
         handle.emit(|| ChaseEvent::CacheLookup { hit: false });
 
         let snap = tracer.snapshot();
         assert_eq!(snap.dropped, 0);
-        let got: Vec<(u32, u64, ChaseEvent)> = snap
-            .events
-            .iter()
-            .map(|r| (r.worker, r.seq, r.event))
-            .collect();
+        let got: Vec<(u64, ChaseEvent)> = snap.events.iter().map(|r| (r.seq, r.event)).collect();
         assert_eq!(
             got,
             vec![
-                (0, 0, ChaseEvent::CacheLookup { hit: true }),
-                (0, 1, ChaseEvent::CacheLookup { hit: false }),
-                (2, 0, ChaseEvent::HomPrune { depth: 1 }),
+                (0, ChaseEvent::CacheLookup { hit: true }),
+                (1, ChaseEvent::HomPrune { depth: 1 }),
+                (2, ChaseEvent::CacheLookup { hit: false }),
             ]
-        );
-    }
-
-    #[test]
-    fn snapshot_merges_workers_in_worker_then_seq_order() {
-        let tracer = Tracer::new(16);
-        let handle = TraceHandle::enabled(&tracer);
-        // Interleave appends across workers in a scrambled order; the
-        // snapshot must still come out (worker, seq)-sorted.
-        let w1 = handle.worker(1);
-        let w2 = handle.worker(2);
-        w2.emit(|| ChaseEvent::HomExpand { depth: 0 });
-        handle.emit(|| ChaseEvent::HomExpand { depth: 1 });
-        w1.emit(|| ChaseEvent::HomExpand { depth: 2 });
-        w2.emit(|| ChaseEvent::HomExpand { depth: 3 });
-        handle.emit(|| ChaseEvent::HomExpand { depth: 4 });
-
-        let snap = tracer.snapshot();
-        let keys: Vec<(u32, u64)> = snap.events.iter().map(|r| (r.worker, r.seq)).collect();
-        let mut sorted = keys.clone();
-        sorted.sort_unstable();
-        assert_eq!(keys, sorted);
-        assert_eq!(
-            keys,
-            vec![(0, 0), (0, 1), (1, 0), (2, 0), (2, 1)],
-            "one seq stream per worker, merged in worker order"
         );
     }
 

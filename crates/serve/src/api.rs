@@ -131,7 +131,6 @@ pub fn core_error(e: &CoreError) -> ApiError {
             code: "arity_mismatch",
             message: format!("head arities differ: q1 has {q1}, q2 has {q2}"),
         },
-        CoreError::WorkerFailed { detail } => ApiError::internal(detail.clone()),
         CoreError::Exhausted { .. } => ApiError::internal(format!("unexpected error: {e}")),
     }
 }

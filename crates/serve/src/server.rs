@@ -67,9 +67,6 @@ pub struct ServerConfig {
     pub cache_bytes: usize,
     /// Cap on request bodies (`--max-body-bytes`).
     pub max_body_bytes: usize,
-    /// Chase discovery threads per decision (`--threads`), as in
-    /// `flq contains --threads`.
-    pub threads: usize,
     /// Server-side default wall-clock budget per decision (`--timeout`,
     /// milliseconds); requests may override. `None` means unlimited.
     pub default_timeout_ms: Option<u64>,
@@ -120,7 +117,6 @@ impl Default for ServerConfig {
             queue_depth: 64,
             cache_bytes: 64 << 20,
             max_body_bytes: 1 << 20,
-            threads: 1,
             default_timeout_ms: None,
             max_conjuncts: ContainmentOptions::default().max_conjuncts,
             read_timeout_ms: 5_000,
@@ -137,7 +133,7 @@ impl Default for ServerConfig {
 /// The `flq serve` / `flqd` flag reference, shared by both binaries'
 /// usage text.
 pub const SERVE_FLAGS: &str = "[--addr HOST:PORT] [--workers N] [--queue-cap N] [--cache-bytes N] \
-[--max-body-bytes N] [--threads N] [--timeout MS] [--max-conjuncts N] [--read-timeout MS] \
+[--max-body-bytes N] [--timeout MS] [--max-conjuncts N] [--read-timeout MS] \
 [--ready-fd FD] [--no-canon] [--access-log FILE|-] [--slow-us N] [--log-sample 1/N] \
 [--data-dir DIR]";
 
@@ -156,7 +152,6 @@ impl ServerConfig {
                 "--queue-cap" => config.queue_depth = parse_flag(&arg, value("a number")?)?,
                 "--cache-bytes" => config.cache_bytes = parse_flag(&arg, value("a number")?)?,
                 "--max-body-bytes" => config.max_body_bytes = parse_flag(&arg, value("a number")?)?,
-                "--threads" => config.threads = parse_flag(&arg, value("a number")?)?,
                 "--timeout" => {
                     config.default_timeout_ms =
                         Some(parse_flag(&arg, value("a duration in milliseconds")?)?)
@@ -193,7 +188,6 @@ impl ServerConfig {
     /// are applied on top (see [`api::RequestOpts::apply`]).
     pub fn base_options(&self) -> ContainmentOptions {
         let mut opts = ContainmentOptions {
-            threads: self.threads,
             max_conjuncts: self.max_conjuncts,
             canon: self.canon,
             ..ContainmentOptions::default()
@@ -933,8 +927,6 @@ mod tests {
             "1024",
             "--max-body-bytes",
             "2048",
-            "--threads",
-            "2",
             "--timeout",
             "250",
             "--max-conjuncts",
@@ -959,7 +951,6 @@ mod tests {
         assert_eq!(config.queue_depth, 9);
         assert_eq!(config.cache_bytes, 1024);
         assert_eq!(config.max_body_bytes, 2048);
-        assert_eq!(config.threads, 2);
         assert_eq!(config.default_timeout_ms, Some(250));
         assert_eq!(config.max_conjuncts, 77);
         assert_eq!(config.read_timeout_ms, 300);
@@ -995,18 +986,22 @@ mod tests {
                 "{bad:?}"
             );
         }
+        // Chase discovery is sequential; the old knob is rejected, not
+        // silently ignored.
+        assert_eq!(
+            ServerConfig::from_args(["--threads".into(), "2".into()]).unwrap_err(),
+            "unknown flag \"--threads\""
+        );
     }
 
     #[test]
     fn base_options_carry_config_knobs() {
         let config = ServerConfig {
-            threads: 3,
             max_conjuncts: 42,
             default_timeout_ms: Some(5),
             ..ServerConfig::default()
         };
         let opts = config.base_options();
-        assert_eq!(opts.threads, 3);
         assert_eq!(opts.max_conjuncts, 42);
         assert!(!opts.budget.is_unlimited());
         assert!(opts.analysis);

@@ -1,19 +1,19 @@
 //! `flq` — command-line front end for the F-logic Lite toolkit.
 //!
 //! ```text
-//! flq contains  "<q1>" "<q2>" [--threads N] [--no-analysis]
+//! flq contains  "<q1>" "<q2>" [--no-analysis]
 //!                             [--timeout MS] [--max-conjuncts N] [--sigma FILE]
 //!                                    decide q1 ⊆_Σ q2 (and the converse)
-//! flq explain   "<q1>" "<q2>" [--threads N] [--no-analysis]
+//! flq explain   "<q1>" "<q2>" [--no-analysis]
 //!                             [--timeout MS] [--max-conjuncts N] [--sigma FILE]
 //!                                    prove the containment step by step
-//! flq profile   "<q1>" "<q2>" [--threads N] [--timeout MS] [--max-conjuncts N]
+//! flq profile   "<q1>" "<q2>" [--timeout MS] [--max-conjuncts N]
 //!               [--sigma FILE]
 //!                                    decide q1 ⊆_Σ q2 with tracing on and
 //!                                    print the chase profile: per-rule firing
 //!                                    histogram, level growth, phase timing,
 //!                                    observed depth vs. the Theorem 12 bound
-//! flq chase     "<q>" [--bound N] [--dot] [--threads N]
+//! flq chase     "<q>" [--bound N] [--dot]
 //!                     [--timeout MS] [--max-conjuncts N] [--sigma FILE]
 //!                                    materialize the (bounded) chase
 //! flq minimize  "<q>"                Σ_FL-aware query minimisation
@@ -27,7 +27,7 @@
 //! flq eval      <file>               run a program: facts are closed under
 //!                                    Σ_FL, goals/queries are answered
 //! flq serve     [--addr HOST:PORT] [--workers N] [--queue-cap N]
-//!               [--cache-bytes N] [--max-body-bytes N] [--threads N]
+//!               [--cache-bytes N] [--max-body-bytes N]
 //!               [--timeout MS] [--max-conjuncts N] [--read-timeout MS]
 //!               [--ready-fd FD] [--no-canon] [--access-log FILE|-]
 //!               [--slow-us N] [--log-sample 1/N]
@@ -48,9 +48,6 @@
 //!
 //! Flags (an unknown flag is an error):
 //!
-//! * `--threads N` — worker threads for chase rule discovery; `1` (the
-//!   default) is fully sequential, `0` uses all available cores. The
-//!   decision never depends on it.
 //! * `--no-analysis` — skip the static fast paths of `flogic-analysis`
 //!   and always materialize the chase. Verdicts are identical either way.
 //! * `--timeout MS` — wall-clock budget in milliseconds. A run that hits
@@ -140,10 +137,10 @@ const SUBCOMMANDS: &[&str] = &[
 /// `flogic-serve` so the two stay in lockstep.
 fn usage_text() -> String {
     format!(
-        "usage:\n  flq contains <q1> <q2> [--threads N] [--no-analysis] [--timeout MS] [--max-conjuncts N] [--sigma FILE]\n  \
-         flq explain <q1> <q2> [--threads N] [--no-analysis] [--timeout MS] [--max-conjuncts N] [--sigma FILE]\n  \
-         flq profile <q1> <q2> [--threads N] [--timeout MS] [--max-conjuncts N] [--sigma FILE]\n  \
-         flq chase <q> [--bound N] [--dot] [--threads N] [--timeout MS] [--max-conjuncts N] [--sigma FILE]\n  \
+        "usage:\n  flq contains <q1> <q2> [--no-analysis] [--timeout MS] [--max-conjuncts N] [--sigma FILE]\n  \
+         flq explain <q1> <q2> [--no-analysis] [--timeout MS] [--max-conjuncts N] [--sigma FILE]\n  \
+         flq profile <q1> <q2> [--timeout MS] [--max-conjuncts N] [--sigma FILE]\n  \
+         flq chase <q> [--bound N] [--dot] [--timeout MS] [--max-conjuncts N] [--sigma FILE]\n  \
          flq minimize <q> [--timeout MS] [--max-conjuncts N]\n  flq lint <file> [--json]\n  \
          flq lint --sigma FILE [--json]\n  flq eval <file>\n  \
          flq serve {SERVE_FLAGS}\n  \
@@ -333,13 +330,6 @@ fn split_contains_args(
             continue;
         }
         match a.as_str() {
-            "--threads" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => opts.threads = n,
-                None => {
-                    eprintln!("error: --threads needs a number");
-                    return Err(usage());
-                }
-            },
             "--no-analysis" => opts.analysis = false,
             "--timeout" => match it.next().and_then(|n| n.parse().ok()) {
                 Some(ms) => opts.budget = Budget::with_timeout(Duration::from_millis(ms)),
@@ -607,7 +597,6 @@ fn cmd_chase(args: &[String]) -> ExitCode {
     };
     let mut bound = 2 * q.size() as u32; // δ, a sensible default depth
     let mut dot = false;
-    let mut threads = 1;
     let mut max_conjuncts = 1_000_000;
     let mut budget = Budget::unlimited();
     let mut sigma = RuleSet::sigma_fl().clone();
@@ -622,10 +611,6 @@ fn cmd_chase(args: &[String]) -> ExitCode {
         match a.as_str() {
             "--bound" => match it.next().and_then(|n| n.parse().ok()) {
                 Some(n) => bound = n,
-                None => return usage(),
-            },
-            "--threads" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => threads = n,
                 None => return usage(),
             },
             "--timeout" => match it.next().and_then(|n| n.parse().ok()) {
@@ -656,7 +641,6 @@ fn cmd_chase(args: &[String]) -> ExitCode {
     let chase_opts = ChaseOptions {
         level_bound: bound,
         max_conjuncts,
-        threads,
         budget,
         trace: obs.handle(),
         sigma,
@@ -668,10 +652,7 @@ fn cmd_chase(args: &[String]) -> ExitCode {
 fn run_chase(q: &ConjunctiveQuery, opts: &ChaseOptions, dot: bool) -> ExitCode {
     let chase = match chase_bounded(q, opts) {
         Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => match e {},
     };
     if let flogic_lite::chase::ChaseOutcome::Exhausted { reason } = chase.outcome() {
         eprintln!(

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! flqd [--addr HOST:PORT] [--workers N] [--queue-cap N] [--cache-bytes N]
-//!      [--max-body-bytes N] [--threads N] [--timeout MS]
+//!      [--max-body-bytes N] [--timeout MS]
 //!      [--max-conjuncts N] [--read-timeout MS] [--ready-fd FD]
 //!      [--no-canon] [--access-log FILE|-] [--slow-us N] [--log-sample 1/N]
 //!      [--data-dir DIR]

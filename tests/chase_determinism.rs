@@ -1,8 +1,7 @@
-//! The parallel chase engine must be observationally identical to the
-//! sequential one: same conjuncts, same arcs, same stats, same verdicts,
-//! for every thread count. Discovery is fanned out over worker threads but
-//! candidates are merged back in frontier order and applied sequentially,
-//! so the chase graph never depends on scheduling.
+//! The chase is a deterministic, frontier-ordered process: two runs of the
+//! same query in one process produce the same conjuncts, arcs, stats and
+//! verdicts. Rule instances are discovered and applied in frontier order,
+//! so the chase graph depends on the query and the options alone.
 //!
 //! Conjunct ids are assigned in insertion order and must agree across runs;
 //! the only run-to-run difference is the *global* labelled-null counter, so
@@ -17,9 +16,7 @@ use flogic_lite::gen::{generalize, random_query, GeneralizeConfig, QueryGenConfi
 use flogic_lite::prelude::*;
 use flogic_lite::term::Term;
 
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-
-/// Scheduling-independent rendering of a chase: conjuncts (id, atom, level),
+/// Run-independent rendering of a chase: conjuncts (id, atom, level),
 /// arcs (from, to, rule, cross) and summary stats, with labelled nulls
 /// renamed to their first-appearance index.
 fn fingerprint(chase: &Chase) -> Vec<String> {
@@ -59,45 +56,32 @@ fn fingerprint(chase: &Chase) -> Vec<String> {
     out
 }
 
-fn assert_identical_chases(label: &str, mut runs: impl FnMut(usize) -> Chase) {
-    let baseline = fingerprint(&runs(1));
-    for &threads in &THREAD_COUNTS[1..] {
-        let fp = fingerprint(&runs(threads));
-        assert_eq!(
-            baseline, fp,
-            "{label}: threads={threads} diverged from threads=1"
-        );
-    }
+fn assert_identical_chases(label: &str, mut run: impl FnMut() -> Chase) {
+    let first = fingerprint(&run());
+    let second = fingerprint(&run());
+    assert_eq!(first, second, "{label}: the second run diverged");
 }
 
 #[test]
-fn example_1_chase_minus_is_thread_count_invariant() {
+fn example_1_chase_minus_is_run_to_run_identical() {
     // Example 1: rho12 + rho4 rewrite the head; chase⁻ terminates at level 0.
     let q = parse_query("q(V1, V2) :- data(O, A, V1), data(O, A, V2), funct(A, C), member(O, C).")
         .unwrap();
-    assert_identical_chases("example 1", |threads| {
-        chase_minus_with(
-            &q,
-            &ChaseOptions {
-                threads,
-                ..Default::default()
-            },
-        )
-        .unwrap()
+    assert_identical_chases("example 1", || {
+        chase_minus_with(&q, &ChaseOptions::default()).unwrap()
     });
 }
 
 #[test]
-fn example_2_bounded_chase_is_thread_count_invariant() {
+fn example_2_bounded_chase_is_run_to_run_identical() {
     // Example 2: the infinite chase (Figure 1), cut at level 9 as in E3.
     let q = parse_query("q() :- mandatory(A, T), type(T, A, T), sub(T, U).").unwrap();
-    assert_identical_chases("example 2", |threads| {
+    assert_identical_chases("example 2", || {
         chase_bounded(
             &q,
             &ChaseOptions {
                 level_bound: 9,
                 max_conjuncts: 100_000,
-                threads,
                 ..Default::default()
             },
         )
@@ -106,7 +90,7 @@ fn example_2_bounded_chase_is_thread_count_invariant() {
 }
 
 #[test]
-fn generated_chases_are_thread_count_invariant() {
+fn generated_chases_are_run_to_run_identical() {
     let cfg = QueryGenConfig {
         n_atoms: 4,
         n_vars: 4,
@@ -115,13 +99,12 @@ fn generated_chases_are_thread_count_invariant() {
     };
     for seed in 0..24u64 {
         let q = random_query(&cfg, &mut SplitMix64::seed_from_u64(seed));
-        assert_identical_chases(&format!("seed {seed}"), |threads| {
+        assert_identical_chases(&format!("seed {seed}"), || {
             chase_bounded(
                 &q,
                 &ChaseOptions {
                     level_bound: 4,
                     max_conjuncts: 50_000,
-                    threads,
                     ..Default::default()
                 },
             )
@@ -131,16 +114,15 @@ fn generated_chases_are_thread_count_invariant() {
 }
 
 #[test]
-fn truncated_chases_are_thread_count_invariant() {
+fn truncated_chases_are_run_to_run_identical() {
     // Hitting the conjunct cap must also happen at the same point.
     let q = parse_query("q() :- mandatory(A, T), type(T, A, T), sub(T, U).").unwrap();
-    assert_identical_chases("example 2 truncated", |threads| {
+    assert_identical_chases("example 2 truncated", || {
         chase_bounded(
             &q,
             &ChaseOptions {
                 level_bound: 40,
                 max_conjuncts: 60,
-                threads,
                 ..Default::default()
             },
         )
@@ -149,7 +131,7 @@ fn truncated_chases_are_thread_count_invariant() {
 }
 
 #[test]
-fn containment_verdicts_are_thread_count_invariant() {
+fn containment_verdicts_are_run_to_run_identical() {
     let cfg = QueryGenConfig {
         n_atoms: 4,
         n_vars: 4,
@@ -164,51 +146,44 @@ fn containment_verdicts_are_thread_count_invariant() {
             &GeneralizeConfig::default(),
             &mut SplitMix64::seed_from_u64(seed + 1000),
         );
-        let decide = |threads: usize| {
+        let decide = || {
             contains_with(
                 &q1,
                 &q2,
                 &ContainmentOptions {
                     max_conjuncts: 50_000,
-                    threads,
                     ..Default::default()
                 },
             )
+            .unwrap()
         };
-        let base = decide(1).unwrap();
+        let base = decide();
         if base.is_exhausted() {
             continue; // resource-capped pair
         }
         compared += 1;
-        for &threads in &THREAD_COUNTS[1..] {
-            let r = decide(threads).expect("worker threads must not fail");
-            assert_eq!(
-                base.verdict(),
-                r.verdict(),
-                "seed {seed}, threads {threads}"
-            );
-            assert_eq!(base.is_vacuous(), r.is_vacuous());
-            assert_eq!(base.chase_conjuncts(), r.chase_conjuncts());
-            assert_eq!(base.max_chase_level(), r.max_chase_level());
-        }
+        let r = decide();
+        assert_eq!(base.verdict(), r.verdict(), "seed {seed}");
+        assert_eq!(base.is_vacuous(), r.is_vacuous());
+        assert_eq!(base.chase_conjuncts(), r.chase_conjuncts());
+        assert_eq!(base.max_chase_level(), r.max_chase_level());
     }
     assert!(compared >= 10, "workload mostly within the resource cap");
 }
 
 #[test]
-fn generous_budget_verdicts_are_thread_count_invariant() {
+fn generous_budget_verdicts_are_run_to_run_identical() {
     // A budget that is never hit must be invisible: the governed runs are
-    // bit-identical to each other across thread counts (its checks are
-    // pure reads at deterministic points).
+    // bit-identical to each other (its checks are pure reads at
+    // deterministic points).
     use flogic_lite::chase::Budget;
     let q = parse_query("q() :- mandatory(A, T), type(T, A, T), sub(T, U).").unwrap();
-    assert_identical_chases("example 2 under a generous budget", |threads| {
+    assert_identical_chases("example 2 under a generous budget", || {
         chase_bounded(
             &q,
             &ChaseOptions {
                 level_bound: 9,
                 max_conjuncts: 100_000,
-                threads,
                 budget: Budget::with_timeout(std::time::Duration::from_secs(600))
                     .steps(u64::MAX)
                     .bytes(usize::MAX),
@@ -220,19 +195,18 @@ fn generous_budget_verdicts_are_thread_count_invariant() {
 }
 
 #[test]
-fn step_capped_chases_are_thread_count_invariant() {
+fn step_capped_chases_are_run_to_run_identical() {
     // The step cap counts candidate rule instances in the deterministic
     // application order, so even an *exhausted* run stops at the same
-    // point for every thread count.
+    // point on every run.
     use flogic_lite::chase::Budget;
     let q = parse_query("q() :- mandatory(A, T), type(T, A, T), sub(T, U).").unwrap();
-    assert_identical_chases("example 2 step-capped", |threads| {
+    assert_identical_chases("example 2 step-capped", || {
         chase_bounded(
             &q,
             &ChaseOptions {
                 level_bound: 40,
                 max_conjuncts: 100_000,
-                threads,
                 budget: Budget::unlimited().steps(300),
                 ..Default::default()
             },
@@ -244,32 +218,29 @@ fn step_capped_chases_are_thread_count_invariant() {
 #[test]
 fn tracing_leaves_chases_bit_identical() {
     // Tracing only observes: with a tracer attached the chase graph,
-    // head, outcome and stats are bit-identical to an untraced run, at
-    // every thread count — and the tracer did record something.
+    // head, outcome and stats are bit-identical to an untraced run — and
+    // the tracer did record something.
     use flogic_lite::obs::{TraceHandle, Tracer};
     let q = parse_query("q() :- mandatory(A, T), type(T, A, T), sub(T, U).").unwrap();
-    for threads in [1usize, 2, 4] {
-        let run = |trace: TraceHandle| {
-            chase_bounded(
-                &q,
-                &ChaseOptions {
-                    level_bound: 9,
-                    max_conjuncts: 100_000,
-                    threads,
-                    trace,
-                    ..Default::default()
-                },
-            )
-            .unwrap()
-        };
-        let off = fingerprint(&run(TraceHandle::Disabled));
-        let tracer = Tracer::with_default_capacity();
-        let on = fingerprint(&run(TraceHandle::enabled(&tracer)));
-        assert_eq!(off, on, "threads={threads}: tracing changed the chase");
-        let snap = tracer.snapshot();
-        assert!(!snap.events.is_empty(), "tracer saw the traced run");
-        assert_eq!(snap.dropped, 0, "default ring holds Example 2 easily");
-    }
+    let run = |trace: TraceHandle| {
+        chase_bounded(
+            &q,
+            &ChaseOptions {
+                level_bound: 9,
+                max_conjuncts: 100_000,
+                trace,
+                ..Default::default()
+            },
+        )
+        .unwrap()
+    };
+    let off = fingerprint(&run(TraceHandle::Disabled));
+    let tracer = Tracer::with_default_capacity();
+    let on = fingerprint(&run(TraceHandle::enabled(&tracer)));
+    assert_eq!(off, on, "tracing changed the chase");
+    let snap = tracer.snapshot();
+    assert!(!snap.events.is_empty(), "tracer saw the traced run");
+    assert_eq!(snap.dropped, 0, "default ring holds Example 2 easily");
 }
 
 #[test]
@@ -290,34 +261,31 @@ fn tracing_leaves_verdicts_bit_identical() {
             &GeneralizeConfig::default(),
             &mut SplitMix64::seed_from_u64(seed + 2000),
         );
-        for threads in [1usize, 2, 4] {
-            let decide = |trace: TraceHandle| {
-                contains_with(
-                    &q1,
-                    &q2,
-                    &ContainmentOptions {
-                        max_conjuncts: 50_000,
-                        threads,
-                        trace,
-                        ..Default::default()
-                    },
-                )
-                .unwrap()
-            };
-            let off = decide(TraceHandle::Disabled);
-            let tracer = Tracer::with_default_capacity();
-            let on = decide(TraceHandle::enabled(&tracer));
-            assert_eq!(
-                off.verdict(),
-                on.verdict(),
-                "seed {seed}, threads {threads}: tracing changed the verdict"
-            );
-            assert_eq!(off.is_vacuous(), on.is_vacuous());
-            assert_eq!(off.witness(), on.witness());
-            assert_eq!(off.chase_conjuncts(), on.chase_conjuncts());
-            assert_eq!(off.max_chase_level(), on.max_chase_level());
-            assert_eq!(off.level_bound(), on.level_bound());
-        }
+        let decide = |trace: TraceHandle| {
+            contains_with(
+                &q1,
+                &q2,
+                &ContainmentOptions {
+                    max_conjuncts: 50_000,
+                    trace,
+                    ..Default::default()
+                },
+            )
+            .unwrap()
+        };
+        let off = decide(TraceHandle::Disabled);
+        let tracer = Tracer::with_default_capacity();
+        let on = decide(TraceHandle::enabled(&tracer));
+        assert_eq!(
+            off.verdict(),
+            on.verdict(),
+            "seed {seed}: tracing changed the verdict"
+        );
+        assert_eq!(off.is_vacuous(), on.is_vacuous());
+        assert_eq!(off.witness(), on.witness());
+        assert_eq!(off.chase_conjuncts(), on.chase_conjuncts());
+        assert_eq!(off.max_chase_level(), on.max_chase_level());
+        assert_eq!(off.level_bound(), on.level_bound());
     }
 }
 

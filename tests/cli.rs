@@ -144,10 +144,10 @@ fn unknown_flags_are_usage_errors() {
 }
 
 #[test]
-fn threads_and_no_analysis_flags_accepted() {
+fn no_analysis_accepted_and_threads_rejected() {
     let q1 = "q(A,B) :- T1[A*=>T2], T2::T3, T3[B*=>_].";
     let q2 = "qq(A,B) :- T1[A*=>T2], T2[B*=>_].";
-    let (with, _, ok) = flq(&["contains", q1, q2, "--threads", "2"]);
+    let (with, _, ok) = flq(&["contains", q1, q2]);
     assert!(ok);
     let (without, _, ok) = flq(&["contains", q1, q2, "--no-analysis"]);
     assert!(ok);
@@ -156,8 +156,15 @@ fn threads_and_no_analysis_flags_accepted() {
         assert!(with.contains(line), "{with}");
         assert!(without.contains(line), "{without}");
     }
-    let (_, _, ok) = flq(&["chase", "q() :- sub(X,Y).", "--threads", "2"]);
-    assert!(ok);
+    // Chase discovery is sequential: `--threads` is gone, not ignored.
+    for args in [
+        &["contains", q1, q2, "--threads", "2"][..],
+        &["chase", "q() :- sub(X,Y).", "--threads", "2"][..],
+    ] {
+        let (_, stderr, code) = flq_code(args);
+        assert_eq!(code, 2, "args {args:?}: {stderr}");
+        assert!(stderr.contains("unknown"), "args {args:?}: {stderr}");
+    }
 }
 
 #[test]
@@ -301,12 +308,9 @@ fn trace_out_writes_parseable_jsonl() {
     let text = std::fs::read_to_string(&path).unwrap();
     let events = flogic_lite::obs::export::parse_jsonl(&text).expect("trace parses");
     assert!(!events.is_empty(), "a chased containment records events");
-    // Per-worker sequence numbers are strictly increasing.
-    let mut last: std::collections::HashMap<u32, u64> = std::collections::HashMap::new();
-    for rec in &events {
-        if let Some(prev) = last.insert(rec.worker, rec.seq) {
-            assert!(rec.seq > prev, "worker {} seq went backwards", rec.worker);
-        }
+    // Sequence numbers are strictly increasing over the whole file.
+    for pair in events.windows(2) {
+        assert!(pair[1].seq > pair[0].seq, "seq went backwards: {pair:?}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
